@@ -4,12 +4,14 @@
 // reproduction measures, and (c) the raw series as CSV so the figures can
 // be re-plotted.  Campaign durations and cadences are configurable through
 // environment variables so the full-fidelity run stays available:
-//   IXP_ROUND_MINUTES  probing cadence (default 30; the paper used 5)
+//   IXP_ROUND_MINUTES  probing cadence, at least 1 (default 30; the paper
+//                      used 5)
 //   IXP_FAST=1         shorten campaigns (smoke-test mode)
 //   IXP_JOBS=N         parallel campaigns for the fleet-based table benches
 //                      (default: hardware concurrency, clamped to VP count)
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -25,10 +27,14 @@
 
 namespace ixp::bench {
 
+/// IXP_ROUND_MINUTES through the CLI's cadence check; a value below 1
+/// ends the bench with exit status 2, as `--round-minutes 0` does.
 inline Duration round_interval_from_env() {
-  double minutes = env::double_value("IXP_ROUND_MINUTES").value_or(30);
-  if (minutes <= 0) minutes = 30;
-  return Duration(static_cast<std::int64_t>(minutes * 60e9));
+  const double minutes = env::double_value("IXP_ROUND_MINUTES").value_or(30);
+  const auto interval =
+      analysis::round_interval_from_minutes(minutes, "IXP_ROUND_MINUTES", std::cerr);
+  if (!interval) std::exit(2);
+  return *interval;
 }
 
 inline bool fast_mode() { return env::flag("IXP_FAST"); }

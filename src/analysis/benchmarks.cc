@@ -5,21 +5,13 @@
 #include <chrono>
 #include <ostream>
 #include <stdexcept>
-
-#include <bit>
-#include <cmath>
 #include <thread>
 
 #include "analysis/africa.h"
 #include "analysis/campaign.h"
 #include "analysis/fleet.h"
 #include "analysis/substrate.h"
-#include "obs/metrics.h"
 #include "sim/network.h"
-#include "tslp/classifier.h"
-#include "tslp/engine.h"
-#include "tslp/online.h"
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace ixp::analysis {
@@ -395,363 +387,6 @@ SubstrateBenchReport run_substrate_benchmark(const topo::TopoSpec& spec_in,
         rep.jobs);
   }
   return rep;
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// TSLP statistics benchmark.
-//
-// The corpus is synthetic but sized from the same topology-spec presets
-// the substrate benchmark runs: monitored-link count from the generated
-// substrate, samples from the spec's campaign length at the 5-minute
-// cadence, behaviour mix (congested/noisy fractions) from the spec's
-// knobs.  Generating series directly keeps the harness measuring the
-// statistics path alone -- no simulator time in the denominator.
-
-/// One synthetic link: clean near side, far side optionally carrying a
-/// daily congestion plateau, heavy-tailed ICMP outliers, random unanswered
-/// rounds, and occasional maintenance gap runs on both sides.
-tslp::LinkSeries make_tslp_link(const topo::TopoSpec& spec, std::uint64_t rounds,
-                                std::size_t link_index) {
-  Rng rng(spec.seed ^ (0x9e3779b97f4a7c15ULL * (link_index + 1)));
-  const bool congested = rng.chance(spec.congested_fraction);
-  const bool noisy = !congested && rng.chance(spec.noise_fraction);
-  const double base = rng.uniform(1.5, 45.0);
-  const double outlier_rate = noisy ? 0.15 : 0.01;
-  const double magnitude = rng.uniform(12.0, 28.0);
-  const double onset_hour = rng.uniform(11.0, 16.0);
-  const double width_hours = spec.congested_dtud_hours;
-
-  tslp::LinkSeries ls;
-  ls.key = strformat("bench-link-%zu", link_index);
-  ls.near_rtt.interval = kMinute * 5;
-  ls.far_rtt.interval = kMinute * 5;
-  const auto spd = static_cast<std::uint64_t>(kDay.count() / (kMinute * 5).count());
-  ls.near_rtt.ms.reserve(rounds);
-  ls.far_rtt.ms.reserve(rounds);
-  for (std::uint64_t t = 0; t < rounds; ++t) {
-    const double hour = 24.0 * static_cast<double>(t % spd) / static_cast<double>(spd);
-    if (rng.chance(0.015)) {  // unanswered round: both probes lost
-      ls.near_rtt.ms.push_back(tslp::kMissing);
-      ls.far_rtt.ms.push_back(tslp::kMissing);
-      continue;
-    }
-    double far = base + 0.3 * std::fabs(rng.normal());
-    if (congested && hour >= onset_hour && hour < onset_hour + width_hours) far += magnitude;
-    if (rng.chance(outlier_rate)) far += rng.pareto(1.5, 30.0);  // slow ICMP path
-    double near = 0.3 + 0.1 * std::fabs(rng.normal());
-    if (rng.chance(0.01)) near += rng.pareto(1.5, 10.0);
-    ls.near_rtt.ms.push_back(near);
-    ls.far_rtt.ms.push_back(far);
-  }
-  // Maintenance outages: whole-link gap runs long enough to become
-  // explicit SeriesGap markers (gap_min_run defaults to 6).
-  const auto outages = 1 + rounds / (spd * 14);
-  for (std::uint64_t o = 0; o < outages; ++o) {
-    const auto len = static_cast<std::uint64_t>(rng.uniform_int(6, 40));
-    const auto at = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(rounds > len ? rounds - len : 0)));
-    for (std::uint64_t k = at; k < std::min(rounds, at + len); ++k) {
-      ls.near_rtt.ms[k] = tslp::kMissing;
-      ls.far_rtt.ms[k] = tslp::kMissing;
-    }
-  }
-  return ls;
-}
-
-std::vector<tslp::LinkSeries> make_tslp_corpus(const topo::TopoSpec& spec, std::uint64_t rounds,
-                                               std::uint64_t links) {
-  std::vector<tslp::LinkSeries> out;
-  out.reserve(links);
-  for (std::uint64_t i = 0; i < links; ++i) {
-    out.push_back(make_tslp_link(spec, rounds, static_cast<std::size_t>(i)));
-  }
-  return out;
-}
-
-void fingerprint_bits(std::string& out, double v) {
-  out += strformat("%016llx,",
-                   static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-}
-
-void fingerprint_shifts(std::string& out, const tslp::LevelShiftResult& r) {
-  fingerprint_bits(out, r.baseline_ms);
-  fingerprint_bits(out, r.coverage);
-  out += strformat("ref%d;raw%zu;w%zu/%zu/%zu;", r.refused_low_coverage ? 1 : 0,
-                   r.raw_episode_count, r.windows_scanned, r.windows_skipped_dark,
-                   r.windows_skipped_quiet);
-  for (const auto& g : r.gaps) out += strformat("g%zu+%zu;", g.begin, g.end);
-  for (const auto& e : r.episodes) {
-    out += strformat("e%zu+%zu:", e.begin, e.end);
-    fingerprint_bits(out, e.magnitude_ms);
-    fingerprint_bits(out, e.p_value);
-  }
-}
-
-/// Every field a consumer can observe, bit-exact; two reports with equal
-/// fingerprints are interchangeable.
-std::string fingerprint_report(const tslp::LinkReport& r) {
-  std::string out;
-  out += strformat("v%d;p%d;nc%d;diurnal%d/%d/%d;", static_cast<int>(r.verdict),
-                   static_cast<int>(r.persistence), r.near_clean ? 1 : 0,
-                   r.diurnal.recurring ? 1 : 0, r.diurnal.elevated_days, r.diurnal.days_with_data);
-  fingerprint_bits(out, r.diurnal.acf_day);
-  fingerprint_bits(out, r.diurnal.elevated_day_frac);
-  fingerprint_bits(out, r.waveform.a_w_ms);
-  fingerprint_bits(out, r.waveform.weekday_peak_ms);
-  fingerprint_bits(out, r.waveform.weekend_peak_ms);
-  out += strformat("ud%lld;per%lld;", static_cast<long long>(r.waveform.dt_ud.count()),
-                   static_cast<long long>(r.waveform.period.count()));
-  out += "far:";
-  fingerprint_shifts(out, r.far_shifts);
-  out += "near:";
-  fingerprint_shifts(out, r.near_shifts);
-  return out;
-}
-
-std::vector<tslp::LinkReport> tslp_run_scalar(const std::vector<tslp::LinkSeries>& corpus,
-                                              const tslp::ClassifierOptions& copt) {
-  auto opt = copt;
-  opt.level_shift.engine = tslp::DetectorEngine::kLegacy;
-  const tslp::CongestionClassifier classifier(opt);
-  std::vector<tslp::LinkReport> out;
-  out.reserve(corpus.size());
-  for (const auto& ls : corpus) out.push_back(classifier.classify(ls));
-  return out;
-}
-
-std::vector<tslp::LinkReport> tslp_run_batch(const std::vector<tslp::LinkSeries>& corpus,
-                                             const tslp::ClassifierOptions& copt) {
-  auto far_opts = copt.level_shift;
-  far_opts.engine = tslp::DetectorEngine::kFast;
-  auto near_opts = far_opts;
-  near_opts.threshold_ms = copt.near_threshold_ms;
-
-  // SoA pack + sweep: the pack cost is part of the measurement (it is what
-  // a caller adopting the batch engine pays too).
-  tslp::SeriesBatch far_batch;
-  tslp::SeriesBatch near_batch;
-  std::size_t far_samples = 0;
-  std::size_t near_samples = 0;
-  for (const auto& ls : corpus) {
-    far_samples += ls.far_rtt.ms.size();
-    near_samples += ls.near_rtt.ms.size();
-  }
-  far_batch.reserve(corpus.size(), far_samples);
-  near_batch.reserve(corpus.size(), near_samples);
-  for (const auto& ls : corpus) {
-    far_batch.add(ls.key, ls.far_rtt);
-    near_batch.add(ls.key, ls.near_rtt);
-  }
-  auto far = tslp::detect_batch(far_batch, far_opts);
-  auto near = tslp::detect_batch(near_batch, near_opts);
-
-  const tslp::CongestionClassifier classifier(copt);
-  std::vector<tslp::LinkReport> out;
-  out.reserve(corpus.size());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    out.push_back(classifier.classify_with_shifts(corpus[i], std::move(far[i]),
-                                                  std::move(near[i])));
-  }
-  return out;
-}
-
-std::vector<tslp::LinkReport> tslp_run_online(const std::vector<tslp::LinkSeries>& corpus,
-                                              const tslp::ClassifierOptions& copt) {
-  auto far_opts = copt.level_shift;
-  far_opts.engine = tslp::DetectorEngine::kFast;
-  auto near_opts = far_opts;
-  near_opts.threshold_ms = copt.near_threshold_ms;
-  const tslp::CongestionClassifier classifier(copt);
-
-  // Day-sized chunks model campaign segments arriving between membership
-  // events; the online detector's results are chunking-invariant.
-  const auto chunk = static_cast<std::size_t>(kDay.count() / (kMinute * 5).count());
-  tslp::DetectScratch scratch;
-  std::vector<tslp::LinkReport> out;
-  out.reserve(corpus.size());
-  for (const auto& ls : corpus) {
-    tslp::OnlineLevelShift far(far_opts, ls.far_rtt.start, ls.far_rtt.interval);
-    tslp::OnlineLevelShift near(near_opts, ls.near_rtt.start, ls.near_rtt.interval);
-    for (std::size_t at = 0; at < ls.far_rtt.ms.size(); at += chunk) {
-      const auto n = std::min(chunk, ls.far_rtt.ms.size() - at);
-      far.push(std::span<const double>(ls.far_rtt.ms.data() + at, n));
-      near.push(std::span<const double>(ls.near_rtt.ms.data() + at, n));
-    }
-    out.push_back(classifier.classify_with_shifts(
-        ls, far.finalize(tslp::view_of(ls.far_rtt), scratch),
-        near.finalize(tslp::view_of(ls.near_rtt), scratch)));
-  }
-  return out;
-}
-
-}  // namespace
-
-TslpBenchReport run_tslp_benchmark(const TslpBenchOptions& opt, std::ostream* log) {
-  topo::TopoSpec spec;
-  if (opt.smoke) {
-    spec = *topo::topo_spec_preset("regional50");
-    spec.name = "smoke";
-    spec.ixps = 6;
-    spec.days = 2;
-    spec.members_max = 40;
-  } else {
-    const auto preset = topo::topo_spec_preset(opt.spec);
-    if (!preset) {
-      throw std::runtime_error("unknown topology-spec preset: " + opt.spec);
-    }
-    spec = *preset;
-  }
-  if (opt.seed != 0) spec.seed = opt.seed;
-
-  const auto vps = generate_substrate(spec);
-  const auto summary = summarize_substrate(spec, vps);
-  const std::uint64_t links = summary.monitored_links();
-  const auto rounds = static_cast<std::uint64_t>(spec.days) *
-                      static_cast<std::uint64_t>(kDay.count() / (kMinute * 5).count());
-  if (log) {
-    *log << strformat("tslp corpus from %s: %llu links x %llu rounds\n", spec.name.c_str(),
-                      static_cast<unsigned long long>(links),
-                      static_cast<unsigned long long>(rounds));
-  }
-  const auto corpus = make_tslp_corpus(spec, rounds, links);
-
-  TslpBenchReport rep;
-  rep.workload = opt.smoke ? "smoke" : "full";
-  rep.spec = spec.name;
-  rep.seed = spec.seed;
-  rep.links = links;
-  rep.series = links * 2;
-  rep.samples_per_series = rounds;
-  rep.samples_total = links * 2 * rounds;
-
-  const tslp::ClassifierOptions copt;  // paper defaults; engines overridden per run
-  struct Engine {
-    const char* name;
-    std::vector<tslp::LinkReport> (*fn)(const std::vector<tslp::LinkSeries>&,
-                                        const tslp::ClassifierOptions&);
-  };
-  const Engine engines[] = {
-      {"scalar", &tslp_run_scalar},
-      {"batch", &tslp_run_batch},
-      {"online", &tslp_run_online},
-  };
-  const int passes = 1 + std::max(0, opt.repeats);
-  std::vector<std::vector<tslp::LinkReport>> first_pass;
-  for (const auto& e : engines) {
-    if (log) *log << "running tslp " << e.name << " ...\n";
-    TslpEngineMeasurement m;
-    m.name = e.name;
-    for (int pass = 0; pass < passes; ++pass) {
-      const auto t0 = Clock::now();
-      auto reports = e.fn(corpus, copt);
-      const double sec = elapsed_seconds(t0, Clock::now());
-      const double per_sec = sec > 0 ? static_cast<double>(rep.series) / sec : 0.0;
-      m.wall_seconds += sec;
-      if (pass == 0) {
-        m.cold_series_per_sec = per_sec;
-        m.warm_series_per_sec = per_sec;
-        first_pass.push_back(std::move(reports));
-      } else if (per_sec > m.warm_series_per_sec) {
-        m.warm_series_per_sec = per_sec;
-      }
-    }
-    if (log) {
-      *log << strformat("  %-8s cold %10.1f series/s   warm %10.1f series/s\n", m.name.c_str(),
-                        m.cold_series_per_sec, m.warm_series_per_sec);
-    }
-    rep.engines.push_back(std::move(m));
-  }
-
-  // Equivalence: all three engines, byte-identical on every link.
-  rep.equivalent = true;
-  for (std::size_t i = 0; i < corpus.size() && rep.equivalent; ++i) {
-    const auto scalar_fp = fingerprint_report(first_pass[0][i]);
-    for (std::size_t k = 1; k < first_pass.size(); ++k) {
-      if (fingerprint_report(first_pass[k][i]) != scalar_fp) {
-        rep.equivalent = false;
-        if (log) {
-          *log << strformat("  engine %s DIVERGES from scalar on link %zu\n",
-                            rep.engines[k].name.c_str(), i);
-        }
-        break;
-      }
-    }
-  }
-
-  rep.speedup_batch = rep.engines[0].warm_series_per_sec > 0
-                          ? rep.engines[1].warm_series_per_sec / rep.engines[0].warm_series_per_sec
-                          : 0.0;
-  rep.speedup_online = rep.engines[0].warm_series_per_sec > 0
-                           ? rep.engines[2].warm_series_per_sec / rep.engines[0].warm_series_per_sec
-                           : 0.0;
-
-  // Detector telemetry, mirrored through the obs registry under the
-  // campaign metric names so the bench reads the same counters the fleet
-  // metrics table scrapes.
-  obs::Registry reg;
-  std::uint64_t scanned = 0;
-  std::uint64_t skipped = 0;
-  for (const auto& r : first_pass[1]) {
-    scanned += r.far_shifts.windows_scanned + r.near_shifts.windows_scanned;
-    skipped += r.far_shifts.windows_skipped_dark + r.far_shifts.windows_skipped_quiet +
-               r.near_shifts.windows_skipped_dark + r.near_shifts.windows_skipped_quiet;
-    rep.episodes += r.far_shifts.episodes.size() + r.near_shifts.episodes.size();
-    rep.congested_links += r.congested() ? 1 : 0;
-  }
-  reg.counter(metric::kDetectorWindowsScanned)->set(scanned);
-  reg.counter(metric::kDetectorWindowsSkipped)->set(skipped);
-  rep.windows_scanned = reg.counter(metric::kDetectorWindowsScanned)->value();
-  rep.windows_skipped = reg.counter(metric::kDetectorWindowsSkipped)->value();
-
-  struct rusage ru {};
-  if (getrusage(RUSAGE_SELF, &ru) == 0) rep.peak_rss_kb = ru.ru_maxrss;
-  if (log) {
-    *log << strformat(
-        "  speedup: batch %.2fx, online %.2fx (%s); %llu episodes, %llu congested links\n",
-        rep.speedup_batch, rep.speedup_online, rep.equivalent ? "equivalent" : "DIVERGENT",
-        static_cast<unsigned long long>(rep.episodes),
-        static_cast<unsigned long long>(rep.congested_links));
-  }
-  return rep;
-}
-
-void write_tslp_bench_json(std::ostream& out, const TslpBenchReport& rep) {
-  out << "{\n";
-  out << "  \"schema\": \"afixp-bench-tslp/1\",\n";
-  out << strformat("  \"workload\": \"%s\",\n", rep.workload.c_str());
-  out << strformat("  \"spec\": \"%s\",\n", rep.spec.c_str());
-  out << strformat("  \"seed\": %llu,\n", static_cast<unsigned long long>(rep.seed));
-  out << strformat("  \"links\": %llu,\n", static_cast<unsigned long long>(rep.links));
-  out << strformat("  \"series\": %llu,\n", static_cast<unsigned long long>(rep.series));
-  out << strformat("  \"samples_per_series\": %llu,\n",
-                   static_cast<unsigned long long>(rep.samples_per_series));
-  out << strformat("  \"samples_total\": %llu,\n",
-                   static_cast<unsigned long long>(rep.samples_total));
-  out << "  \"engines\": [\n";
-  for (std::size_t i = 0; i < rep.engines.size(); ++i) {
-    const auto& m = rep.engines[i];
-    out << "    {\n";
-    out << strformat("      \"name\": \"%s\",\n", m.name.c_str());
-    out << strformat("      \"cold_series_per_sec\": %.1f,\n", m.cold_series_per_sec);
-    out << strformat("      \"warm_series_per_sec\": %.1f,\n", m.warm_series_per_sec);
-    out << strformat("      \"wall_seconds\": %.3f\n", m.wall_seconds);
-    out << (i + 1 < rep.engines.size() ? "    },\n" : "    }\n");
-  }
-  out << "  ],\n";
-  out << strformat("  \"speedup_batch\": %.2f,\n", rep.speedup_batch);
-  out << strformat("  \"speedup_online\": %.2f,\n", rep.speedup_online);
-  out << strformat("  \"equivalent\": %s,\n", rep.equivalent ? "true" : "false");
-  out << strformat("  \"episodes\": %llu,\n", static_cast<unsigned long long>(rep.episodes));
-  out << strformat("  \"congested_links\": %llu,\n",
-                   static_cast<unsigned long long>(rep.congested_links));
-  out << strformat("  \"windows_scanned\": %llu,\n",
-                   static_cast<unsigned long long>(rep.windows_scanned));
-  out << strformat("  \"windows_skipped\": %llu,\n",
-                   static_cast<unsigned long long>(rep.windows_skipped));
-  out << strformat("  \"peak_rss_kb\": %ld\n", rep.peak_rss_kb);
-  out << "}\n";
 }
 
 void write_substrate_bench_json(std::ostream& out, const SubstrateBenchReport& rep) {

@@ -135,66 +135,4 @@ SubstrateBenchReport run_substrate_benchmark(const topo::TopoSpec& spec,
 /// "afixp-bench-substrate/1"; field reference in docs/SCALING.md).
 void write_substrate_bench_json(std::ostream& out, const SubstrateBenchReport& rep);
 
-// ---------------------------------------------------------------------------
-// TSLP statistics benchmark: the classification throughput trajectory.
-//
-// Classifies the same synthetic link corpus (sized from a topology-spec
-// preset; see docs/SCALING.md for the presets) with all three detector
-// engines -- the legacy scalar pipeline, the structure-of-arrays batch
-// engine, and the online detector fed day-sized chunks -- and reports
-// series classified per second for each.  All three must produce
-// byte-identical reports (the `equivalent` field); check_bench.sh fails
-// the smoke run otherwise and gates the committed BENCH_tslp.json on
-// batch/scalar speedup >= 3x.  Entry points: `afixp bench --tslp` and
-// bench/bench_tslp.cc.
-
-struct TslpBenchOptions {
-  /// CI-sized corpus (a 6-IXP spec over two days); what check_bench runs.
-  bool smoke = false;
-  std::string spec = "regional50";  ///< preset sizing the synthetic corpus
-  std::uint64_t seed = 0;           ///< 0 = keep the preset's seed
-  int repeats = 1;                  ///< warm passes per engine (cold is always 1)
-};
-
-/// One engine's throughput.  A "series" is one side of one monitored link
-/// (each link contributes a near and a far detection).
-struct TslpEngineMeasurement {
-  std::string name;  ///< "scalar" | "batch" | "online"
-  double cold_series_per_sec = 0.0;
-  double warm_series_per_sec = 0.0;  ///< best warm pass (= cold when repeats 0)
-  double wall_seconds = 0.0;         ///< total across all passes
-};
-
-struct TslpBenchReport {
-  std::string workload;  ///< "smoke" | "full"
-  std::string spec;
-  std::uint64_t seed = 0;
-  std::uint64_t links = 0;               ///< monitored links in the corpus
-  std::uint64_t series = 0;              ///< 2 * links (near + far sides)
-  std::uint64_t samples_per_series = 0;  ///< campaign rounds at the 5-min cadence
-  std::uint64_t samples_total = 0;
-  std::vector<TslpEngineMeasurement> engines;
-  double speedup_batch = 0.0;   ///< batch warm / scalar warm
-  double speedup_online = 0.0;  ///< online warm / scalar warm
-  /// All engines produced byte-identical reports on every link.
-  bool equivalent = false;
-  std::uint64_t episodes = 0;         ///< far+near episodes, batch engine
-  std::uint64_t congested_links = 0;  ///< kCongested verdicts
-  /// Mirrored through the obs registry under the campaign metric names
-  /// (afixp_detector_windows_*), so the bench reads the same counters the
-  /// fleet metrics table scrapes.
-  std::uint64_t windows_scanned = 0;
-  std::uint64_t windows_skipped = 0;  ///< dark + quiet skips
-  long peak_rss_kb = 0;
-};
-
-/// Builds the synthetic corpus and times the three engines.  Throws
-/// std::runtime_error on an unknown preset.
-TslpBenchReport run_tslp_benchmark(const TslpBenchOptions& opt, std::ostream* log = nullptr);
-
-/// Serializes a report as the BENCH_tslp.json document (schema
-/// "afixp-bench-tslp/1"; field reference in docs/ARCHITECTURE.md,
-/// "TSLP fast path").
-void write_tslp_bench_json(std::ostream& out, const TslpBenchReport& rep);
-
 }  // namespace ixp::analysis

@@ -561,4 +561,13 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   return result;
 }
 
+std::optional<Duration> round_interval_from_minutes(double minutes, const char* source,
+                                                    std::ostream& err) {
+  if (!(minutes >= 1.0)) {
+    err << source << " must be at least 1 minute, got " << strformat("%g", minutes) << "\n";
+    return std::nullopt;
+  }
+  return Duration(static_cast<std::int64_t>(minutes * 60e9));
+}
+
 }  // namespace ixp::analysis

@@ -14,6 +14,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -204,5 +206,13 @@ struct VpCampaignResult {
 /// Runs the full campaign for one VP scenario.
 VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec,
                               const CampaignOptions& opt = {});
+
+/// The round interval for a cadence of `minutes`, or nullopt -- after
+/// writing "<source> must be at least 1 minute" to `err` -- when minutes
+/// < 1.  Every command-line and environment cadence goes through here: a
+/// zero cadence divides by zero in the campaign and the detectors, and a
+/// negative one runs no rounds and reports a meaningless "0 congested".
+std::optional<Duration> round_interval_from_minutes(double minutes, const char* source,
+                                                    std::ostream& err);
 
 }  // namespace ixp::analysis

@@ -86,13 +86,13 @@ struct Detector {
 };
 
 // Bit-exact inline clone of ixp::Rng (splitmix64 seeding + xoshiro256++).
-// The fast detector must replay the legacy detector's draw sequence
-// exactly -- the stream spans a whole recursion, so any divergence shifts
-// every later decision -- and the out-of-line Rng::next() call is a
-// measurable slice of the bootstrap (~57k draws per confident() call at
-// the paper's window size).  Any change to util/rng.cc must land here too;
-// the legacy-vs-fast equivalence suites in tests/test_tslp.cc fail loudly
-// if the streams drift.
+// The index path must replay Detector's draw sequence exactly -- the
+// stream spans a whole recursion, so any divergence shifts every later
+// decision -- and the out-of-line Rng::next() call is a measurable slice
+// of the bootstrap (~57k draws per confident() call at the paper's window
+// size).  Any change to util/rng.cc must land here too; the equivalence
+// suites in tests/test_tslp.cc, which compare against the scalar oracle in
+// tests/oracle/, fail loudly if the streams drift.
 class InlineXoshiro {
  public:
   explicit InlineXoshiro(std::uint64_t seed) {
@@ -117,21 +117,12 @@ class InlineXoshiro {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
-  // State round trip for the batch driver's round kernel: it runs whole
-  // bootstrap rounds on register-resident copies of four generators'
-  // states and writes them back once per round, instead of bouncing every
-  // draw's state update through memory.
-  void save_state(std::uint64_t out[4]) const {
-    for (int k = 0; k < 4; ++k) out[k] = s_[k];
-  }
-  void load_state(const std::uint64_t in[4]) {
-    for (int k = 0; k < 4; ++k) s_[k] = in[k];
-  }
+
+ private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
- private:
   std::uint64_t s_[4];
 };
 
@@ -347,109 +338,6 @@ struct IndexDetector {
   }
 };
 
-void ranks_into(std::span<const double> v, std::vector<double>& out,
-                std::vector<std::size_t>& idx);
-
-// One in-flight window of the batched driver.  A lane owns everything the
-// top-level bootstrap of one window touches -- generator, rank buffer,
-// shuffle buffer, round counters -- so four lanes can advance one round at
-// a time with their draw loops interleaved.  (The recursion after an
-// accepted top-level split stays scalar inside the lane: its bootstraps
-// are mostly small, size-varying segments whose chains cannot share a
-// lockstep kernel without fragmenting it -- a chained-segment variant of
-// this driver measured slower than the scalar recursion it replaced.)
-struct BootstrapLane {
-  ChangePointTask* task = nullptr;
-  InlineXoshiro rng{0};
-  std::span<const double> input;      ///< rank transform (or the raw samples)
-  std::vector<double> ranks;          ///< backing store when use_ranks
-  std::vector<std::int32_t> ibuf;     ///< exact-integer shuffle buffer
-  std::vector<double> dbuf;           ///< double shuffle buffer (fallback)
-  bool exact = false;
-  bool prefix_i32 = false;
-  double m = 0.0;
-  double observed = 0.0;
-  std::int64_t observed_scaled = 0;
-  int rounds = 0;
-  int max_fail = 0;
-  int need = 0;
-  int r = 0;
-  int below = 0;
-};
-
-// Loads the next task whose top-level bootstrap actually needs rounds into
-// `lane`.  Tasks that decide without drawing (too short, no finite mean, a
-// non-positive CUSUM range) are resolved inline with an empty result, same
-// as IndexDetector::recurse would.  Returns false when the task list is
-// exhausted.
-bool fill_lane(BootstrapLane& lane, std::span<ChangePointTask> tasks, std::size_t& next,
-               ChangePointScratch& scratch) {
-  while (next < tasks.size()) {
-    ChangePointTask& t = tasks[next++];
-    t.found.clear();
-    if (t.v.size() < 2 * t.opt.min_segment) continue;
-    if (t.opt.use_ranks) {
-      ranks_into(t.v, lane.ranks, scratch.order);
-      lane.input = lane.ranks;
-    } else {
-      lane.input = t.v;
-    }
-    const double m = mean(lane.input);
-    if (std::isnan(m)) continue;
-    const double observed = cusum_range(lane.input, m);
-    if (observed <= 0) continue;
-    ensure_mod_tables(scratch, lane.input.size());
-    lane.task = &t;
-    lane.rng = InlineXoshiro(t.opt.seed);
-    lane.m = m;
-    lane.observed = observed;
-    lane.exact = build_exact_buffer(lane.input, m, observed, lane.ibuf, lane.observed_scaled,
-                                    lane.prefix_i32);
-    if (!lane.exact) {
-      lane.dbuf.clear();
-      lane.dbuf.reserve(lane.input.size());
-      for (const double x : lane.input) lane.dbuf.push_back(std::isfinite(x) ? x : m);
-    }
-    lane.rounds = std::max(1, t.opt.bootstrap_rounds);
-    lane.max_fail = static_cast<int>(std::floor((1.0 - t.opt.confidence) * lane.rounds));
-    lane.need = lane.rounds + 1;
-    for (int b = 0; b <= lane.rounds; ++b) {
-      if (static_cast<double>(b) / lane.rounds >= t.opt.confidence) {
-        lane.need = b;
-        break;
-      }
-    }
-    lane.r = 0;
-    lane.below = 0;
-    return true;
-  }
-  lane.task = nullptr;
-  return false;
-}
-
-// The tail of IndexDetector::recurse for a window whose top-level
-// confident() call accepted: locate the split, then continue the recursion
-// scalar with the lane's generator, which sits at exactly the stream
-// position the sequential path would have reached.
-void finish_accepted_lane(BootstrapLane& lane, ChangePointScratch& scratch) {
-  ChangePointTask& t = *lane.task;
-  scratch.found.clear();
-  const std::span<const double> input = lane.input;
-  const double m = mean(input);
-  const std::size_t ext = cusum_extremum(input, m);
-  const std::size_t split = ext + 1;  // first index of the new level
-  if (split >= t.opt.min_segment && input.size() - split >= t.opt.min_segment) {
-    scratch.found.push_back(split);
-    IndexDetector det{t.opt, lane.rng, scratch};
-    det.recurse(input.subspan(0, split), 0);
-    det.recurse(input.subspan(split), split);
-  }
-  std::sort(scratch.found.begin(), scratch.found.end());
-  scratch.found.erase(std::unique(scratch.found.begin(), scratch.found.end()),
-                      scratch.found.end());
-  t.found.assign(scratch.found.begin(), scratch.found.end());
-}
-
 // ranks() with caller-owned buffers; same values in the same order.
 void ranks_into(std::span<const double> v, std::vector<double>& out,
                 std::vector<std::size_t>& idx) {
@@ -489,216 +377,6 @@ const std::vector<std::size_t>& detect_change_point_indices(std::span<const doub
   std::sort(scratch.found.begin(), scratch.found.end());
   scratch.found.erase(std::unique(scratch.found.begin(), scratch.found.end()), scratch.found.end());
   return scratch.found;
-}
-
-void detect_change_point_indices_batch(std::span<ChangePointTask> tasks,
-                                       ChangePointScratch& scratch) {
-  constexpr int kLanes = 4;
-  BootstrapLane lanes[kLanes];
-  std::size_t next = 0;
-  int active = 0;
-  for (auto& lane : lanes) {
-    if (fill_lane(lane, tasks, next, scratch)) ++active;
-  }
-
-  while (active > 0) {
-    // Advance every live lane by exactly one bootstrap round.  Each lane
-    // replays exactly the draws the sequential path makes -- rejection
-    // redraws are a per-lane scalar loop, so lockstep never constrains a
-    // stream -- and a lane whose acceptance is already sealed drains its
-    // draws without shuffling (see IndexDetector for why it must keep
-    // drawing).
-    const std::uint64_t* magic = scratch.mod_magic.data();
-    const std::uint64_t* limit = scratch.mod_limit.data();
-    bool sealed[kLanes];
-    bool kernel_ok = true;
-    for (int l = 0; l < kLanes; ++l) {
-      sealed[l] = lanes[l].task && lanes[l].below >= lanes[l].need;
-      kernel_ok = kernel_ok && lanes[l].task && lanes[l].exact &&
-                  lanes[l].input.size() == lanes[0].input.size();
-    }
-    if (kernel_ok) {
-      // Four live exact lanes of one window size: the common case (the
-      // TSLP pipeline hands over same-length windows).  All four generator
-      // states live in locals for the whole round, so the per-draw state
-      // update is a register chain, and the four independent chains
-      // overlap in the out-of-order window -- this is where the
-      // interleaving actually pays; a lane-struct-resident state would
-      // serialize every draw on a store-to-load round trip.
-      std::uint64_t s0[kLanes], s1[kLanes], s2[kLanes], s3[kLanes];
-      std::int32_t* buf[kLanes];
-      bool drain[kLanes];
-      for (int l = 0; l < kLanes; ++l) {
-        std::uint64_t st[4];
-        lanes[l].rng.save_state(st);
-        s0[l] = st[0];
-        s1[l] = st[1];
-        s2[l] = st[2];
-        s3[l] = st[3];
-        buf[l] = lanes[l].ibuf.data();
-        drain[l] = sealed[l];
-      }
-#if defined(__AVX2__)
-      // The four generator states as four u64 lanes of one vector each:
-      // one vector step produces all four lanes' draws.  Every operation
-      // is lanewise integer (add/xor/shift/rotate), so each lane computes
-      // exactly what its scalar InlineXoshiro would.  A rejected draw
-      // (probability <= span / 2^64) spills the states, redraws that one
-      // lane scalar, and reloads -- the other lanes never advance.
-      __m256i S0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s0));
-      __m256i S1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s1));
-      __m256i S2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s2));
-      __m256i S3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s3));
-      for (std::size_t s = lanes[0].input.size(); s > 1; --s) {
-        const std::uint64_t lim = limit[s];
-        const std::uint64_t mg = magic[s];
-        const __m256i sum = _mm256_add_epi64(S0, S3);
-        const __m256i rot =
-            _mm256_or_si256(_mm256_slli_epi64(sum, 23), _mm256_srli_epi64(sum, 41));
-        const __m256i res = _mm256_add_epi64(rot, S0);
-        const __m256i t = _mm256_slli_epi64(S1, 17);
-        S2 = _mm256_xor_si256(S2, S0);
-        S3 = _mm256_xor_si256(S3, S1);
-        S1 = _mm256_xor_si256(S1, S2);
-        S0 = _mm256_xor_si256(S0, S3);
-        S2 = _mm256_xor_si256(S2, t);
-        S3 = _mm256_or_si256(_mm256_slli_epi64(S3, 45), _mm256_srli_epi64(S3, 19));
-        alignas(32) std::uint64_t u[kLanes];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(u), res);
-#pragma GCC unroll 4
-        for (int l = 0; l < kLanes; ++l) {
-          std::uint64_t ul = u[l];
-          if (ul >= lim) [[unlikely]] {
-            alignas(32) std::uint64_t a0[kLanes], a1[kLanes], a2[kLanes], a3[kLanes];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a0), S0);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a1), S1);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a2), S2);
-            _mm256_store_si256(reinterpret_cast<__m256i*>(a3), S3);
-            do {
-              ul = InlineXoshiro::rotl(a0[l] + a3[l], 23) + a0[l];
-              const std::uint64_t tt = a1[l] << 17;
-              a2[l] ^= a0[l];
-              a3[l] ^= a1[l];
-              a1[l] ^= a2[l];
-              a0[l] ^= a3[l];
-              a2[l] ^= tt;
-              a3[l] = InlineXoshiro::rotl(a3[l], 45);
-            } while (ul >= lim);
-            S0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a0));
-            S1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a1));
-            S2 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a2));
-            S3 = _mm256_load_si256(reinterpret_cast<const __m256i*>(a3));
-          }
-          if (!drain[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(ul) * mg) >> 64);
-            std::uint64_t j = ul - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            const std::int32_t tmp = buf[l][s - 1];
-            buf[l][s - 1] = buf[l][j];
-            buf[l][j] = tmp;
-          }
-        }
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s0), S0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s1), S1);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s2), S2);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(s3), S3);
-#else
-      for (std::size_t s = lanes[0].input.size(); s > 1; --s) {
-        const std::uint64_t lim = limit[s];
-        const std::uint64_t mg = magic[s];
-#pragma GCC unroll 4
-        for (int l = 0; l < kLanes; ++l) {
-          std::uint64_t u = InlineXoshiro::rotl(s0[l] + s3[l], 23) + s0[l];
-          std::uint64_t t = s1[l] << 17;
-          s2[l] ^= s0[l];
-          s3[l] ^= s1[l];
-          s1[l] ^= s2[l];
-          s0[l] ^= s3[l];
-          s2[l] ^= t;
-          s3[l] = InlineXoshiro::rotl(s3[l], 45);
-          if (u >= lim) [[unlikely]] {
-            do {
-              u = InlineXoshiro::rotl(s0[l] + s3[l], 23) + s0[l];
-              t = s1[l] << 17;
-              s2[l] ^= s0[l];
-              s3[l] ^= s1[l];
-              s1[l] ^= s2[l];
-              s0[l] ^= s3[l];
-              s2[l] ^= t;
-              s3[l] = InlineXoshiro::rotl(s3[l], 45);
-            } while (u >= lim);
-          }
-          if (!drain[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * mg) >> 64);
-            std::uint64_t j = u - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            const std::int32_t tmp = buf[l][s - 1];
-            buf[l][s - 1] = buf[l][j];
-            buf[l][j] = tmp;
-          }
-        }
-      }
-#endif
-      for (int l = 0; l < kLanes; ++l) {
-        const std::uint64_t st[4] = {s0[l], s1[l], s2[l], s3[l]};
-        lanes[l].rng.load_state(st);
-      }
-    } else {
-      // Generic round: partial occupancy (pool tail), a non-exact lane, or
-      // mixed window sizes.  Same draws, lane state in place.
-      for (int l = 0; l < kLanes; ++l) {
-        BootstrapLane& ln = lanes[l];
-        if (!ln.task) continue;
-        for (std::size_t s = ln.input.size(); s > 1; --s) {
-          std::uint64_t u = ln.rng.next();
-          if (u >= limit[s]) [[unlikely]] {
-            do {
-              u = ln.rng.next();
-            } while (u >= limit[s]);
-          }
-          if (!sealed[l]) {
-            const std::uint64_t q =
-                static_cast<std::uint64_t>((static_cast<unsigned __int128>(u) * magic[s]) >> 64);
-            std::uint64_t j = u - q * s;
-            if (j >= s) j += s;  // estimated quotient overshot by one
-            if (ln.exact) {
-              std::swap(ln.ibuf[s - 1], ln.ibuf[j]);
-            } else {
-              std::swap(ln.dbuf[s - 1], ln.dbuf[j]);
-            }
-          }
-        }
-      }
-    }
-    // Scans and verdicts.
-    for (int l = 0; l < kLanes; ++l) {
-      BootstrapLane& ln = lanes[l];
-      if (!ln.task) continue;
-      bool decided = false;
-      bool accepted = false;
-      if (!sealed[l]) {
-        const bool ok = ln.exact ? cusum_below_int(ln.ibuf, ln.observed_scaled, ln.prefix_i32)
-                                 : cusum_below(ln.dbuf, ln.m, ln.observed);
-        if (ok) {
-          ++ln.below;
-        } else if (ln.r - ln.below >= ln.max_fail + 1) {
-          // Even if every remaining round lands below, the bar is missed.
-          decided = true;
-        }
-      }
-      ++ln.r;
-      if (!decided && ln.r == ln.rounds) {
-        decided = true;
-        accepted = static_cast<double>(ln.below) / ln.rounds >= ln.task->opt.confidence;
-      }
-      if (!decided) continue;
-      if (accepted) finish_accepted_lane(ln, scratch);
-      if (!fill_lane(ln, tasks, next, scratch)) --active;
-    }
-  }
 }
 
 std::vector<double> cusum_path(std::span<const double> v) {

@@ -94,27 +94,6 @@ const std::vector<std::size_t>& detect_change_point_indices(std::span<const doub
                                                             const CusumOptions& opt,
                                                             ChangePointScratch& scratch);
 
-/// One window of a batched change-point run: the same contract as
-/// detect_change_point_indices (raw values + options in, sorted unique
-/// accepted indices out), expressed as a task so many windows can be
-/// submitted at once.
-struct ChangePointTask {
-  std::span<const double> v;       ///< raw window samples (rank transform applied internally)
-  CusumOptions opt;                ///< per-window seed already folded in
-  std::vector<std::size_t> found;  ///< out: accepted indices, sorted, unique
-};
-
-/// Batched detect_change_point_indices: each task's result is byte-identical
-/// to a standalone call with the same (v, opt), but the top-level bootstraps
-/// of up to four windows run with their draw streams interleaved.  Every
-/// window owns an independent generator (the caller perturbs the seed per
-/// window), so interleaving cannot change any stream -- it only overlaps the
-/// xoshiro latency chains of four windows, which is where the sequential
-/// path stalls.  Sub-segment recursion of accepted windows runs scalar, in
-/// task order.
-void detect_change_point_indices_batch(std::span<ChangePointTask> tasks,
-                                       ChangePointScratch& scratch);
-
 /// Converts change points into level segments covering [0, n).
 std::vector<Segment> to_segments(std::span<const double> v, const std::vector<ChangePoint>& cps);
 

@@ -24,34 +24,16 @@ std::size_t samples_per_day(Duration interval) {
   return std::max<std::size_t>(1, spd);
 }
 
-namespace {
-
-// p95 elevation over baseline, split by weekday/weekend.
-void weekday_weekend_peaks(const RttSeries& s, double baseline, double& weekday, double& weekend) {
-  std::vector<double> wd, we;
-  wd.reserve(s.ms.size());
-  we.reserve(s.ms.size() / 3);
-  for (std::size_t i = 0; i < s.ms.size(); ++i) {
-    const double v = s.ms[i];
-    if (std::isnan(v)) continue;
-    const CalendarTime c = to_calendar(s.time_of(i));
-    (c.is_weekend ? we : wd).push_back(v);
-  }
-  const double wdp = stats::quantile(wd, 0.95);
-  const double wep = stats::quantile(we, 0.95);
-  weekday = std::isnan(wdp) ? 0.0 : std::max(0.0, wdp - baseline);
-  weekend = std::isnan(wep) ? 0.0 : std::max(0.0, wep - baseline);
-}
-
-// The fast path's split: is_weekend is constant within a calendar day, so
-// samples are bucketed a day-block at a time with a vectorized compaction
-// instead of a to_calendar call per sample.  Identical results: the day of
-// sample i here is exactly to_calendar(time_of(i)).day (including the
-// clamp-negative-to-day-0 rule), samples land in the same bucket in the
-// same order, and dropping non-finite values early is invisible to the
-// p95 (stats::quantile skips them anyway).
-void weekday_weekend_peaks_fast(const RttSeries& s, double baseline, double& weekday,
-                                double& weekend) {
+// is_weekend is constant within a calendar day, so samples are bucketed a
+// day-block at a time with a vectorized compaction instead of a
+// to_calendar call per sample.  Identical results to that per-sample split
+// (the scalar oracle in tests/oracle/): the day of sample i here is exactly
+// to_calendar(time_of(i)).day (including the clamp-negative-to-day-0
+// rule), samples land in the same bucket in the same order, and dropping
+// non-finite values early is invisible to the p95 (stats::quantile skips
+// them anyway).
+void weekday_weekend_peaks(const RttSeries& s, double baseline, double& weekday,
+                           double& weekend) {
   std::vector<double> wd, we;
   wd.reserve(s.ms.size());
   we.reserve(s.ms.size() / 3);
@@ -84,8 +66,6 @@ void weekday_weekend_peaks_fast(const RttSeries& s, double baseline, double& wee
   weekday = std::isnan(wdp) ? 0.0 : std::max(0.0, wdp - baseline);
   weekend = std::isnan(wep) ? 0.0 : std::max(0.0, wep - baseline);
 }
-
-}  // namespace
 
 LinkReport CongestionClassifier::classify_with_shifts(const LinkSeries& link, LevelShiftResult far,
                                                       LevelShiftResult near) const {
@@ -130,13 +110,8 @@ LinkReport CongestionClassifier::classify_with_shifts(const LinkSeries& link, Le
   report.waveform.a_w_ms = report.far_shifts.average_magnitude();
   report.waveform.dt_ud = report.far_shifts.average_duration(link.far_rtt.interval);
   report.waveform.period = report.far_shifts.average_period(link.far_rtt.interval);
-  if (opts_.level_shift.engine == DetectorEngine::kLegacy) {
-    weekday_weekend_peaks(link.far_rtt, report.far_shifts.baseline_ms,
-                          report.waveform.weekday_peak_ms, report.waveform.weekend_peak_ms);
-  } else {
-    weekday_weekend_peaks_fast(link.far_rtt, report.far_shifts.baseline_ms,
-                               report.waveform.weekday_peak_ms, report.waveform.weekend_peak_ms);
-  }
+  weekday_weekend_peaks(link.far_rtt, report.far_shifts.baseline_ms,
+                        report.waveform.weekday_peak_ms, report.waveform.weekend_peak_ms);
 
   // Sustained vs transient: does the pattern persist to the campaign end?
   if (report.verdict == Verdict::kCongested || report.verdict == Verdict::kInconclusive) {
@@ -182,12 +157,6 @@ bool crosscheck_reroute(LinkReport& report, const std::vector<std::size_t>& resp
 LinkReport CongestionClassifier::classify(const LinkSeries& link) const {
   LevelShiftOptions near_opts = opts_.level_shift;
   near_opts.threshold_ms = opts_.near_threshold_ms;
-  if (opts_.level_shift.engine == DetectorEngine::kLegacy) {
-    LevelShiftDetector far_detector(opts_.level_shift);
-    LevelShiftDetector near_detector(near_opts);
-    return classify_with_shifts(link, far_detector.detect_legacy(link.far_rtt),
-                                near_detector.detect_legacy(link.near_rtt));
-  }
   thread_local DetectScratch scratch;
   return classify_with_shifts(link, detect_fast(view_of(link.far_rtt), opts_.level_shift, scratch),
                               detect_fast(view_of(link.near_rtt), near_opts, scratch));

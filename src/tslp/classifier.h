@@ -29,6 +29,13 @@ namespace ixp::tslp {
 /// cadences above one day, which disabled the diurnal test entirely.
 std::size_t samples_per_day(Duration interval);
 
+/// The waveform's weekday/weekend split: p95 of the finite samples of `s`
+/// on weekdays and on weekend days (calendar of util/time.h, times before
+/// the epoch counted as day 0), each minus `baseline` and floored at 0; 0
+/// for a side with no finite sample.
+void weekday_weekend_peaks(const RttSeries& s, double baseline, double& weekday,
+                           double& weekend);
+
 enum class Verdict {
   kNotCongested,
   kPotentiallyCongested,  ///< far-side shifts, no recurring diurnal pattern

@@ -10,14 +10,17 @@
 
 namespace ixp::tslp {
 
-namespace detail {
+namespace {
 
+using detail::WindowOutcome;
+
+// The darkness and quiet-spread gates of scan_window, no detection.
 WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
                           const LevelShiftOptions& opts, std::vector<double>& finite_buf) {
   if (finite < opts.min_finite_window) return WindowOutcome::kDark;
   if (opts.skip_quiet_windows) {
     double lo = 0.0, hi = 0.0;
-    // No finite sample: the legacy prefilter's quantiles are NaN, and
+    // No finite sample: the prefilter's quantiles would be NaN, and
     // !(NaN - NaN >= x) skips the window.
     if (!simd::finite_minmax(chunk, lo, hi)) return WindowOutcome::kQuiet;
     // Exact conservative shortcut: p95 - p05 <= max - min, so a spread
@@ -36,21 +39,17 @@ WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
   return WindowOutcome::kScanned;
 }
 
-// The per-window seed perturbation: every window gets an independent
-// bootstrap stream, which is also what lets the batch driver interleave
-// windows' draws.
-stats::CusumOptions window_cusum_options(const LevelShiftOptions& opts, std::size_t begin) {
-  stats::CusumOptions copt = opts.cusum;
-  copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
-  return copt;
-}
+}  // namespace
+
+namespace detail {
 
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
                           const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
                           std::vector<double>& finite_buf, std::vector<std::size_t>& cps) {
   const WindowOutcome gate = gate_window(chunk, finite, opts, finite_buf);
   if (gate != WindowOutcome::kScanned) return gate;
-  const stats::CusumOptions copt = window_cusum_options(opts, begin);
+  stats::CusumOptions copt = opts.cusum;
+  copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
   for (const std::size_t idx : stats::detect_change_point_indices(chunk, copt, cp)) {
     cps.push_back(begin + idx);
   }
@@ -87,6 +86,30 @@ bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
   win = std::max<std::size_t>(
       2, static_cast<std::size_t>(opts.window.count() / series.interval.count()));
   return true;
+}
+
+void scan_windows(const SeriesView& series, const LevelShiftOptions& opts, std::size_t win,
+                  std::size_t first_begin, DetectScratch& scratch, LevelShiftResult& out) {
+  const std::span<const double> v = series.ms;
+  for (std::size_t begin = first_begin; begin < v.size(); begin += win / 2) {
+    const std::size_t end = std::min(begin + win, v.size());
+    const std::span<const double> chunk(v.data() + begin, end - begin);
+    const std::size_t finite = scratch.index.not_nan(begin, end);
+    switch (scan_window(chunk, begin, finite, opts, scratch.cp, scratch.finite, scratch.cps)) {
+      case WindowOutcome::kDark:
+        ++out.windows_skipped_dark;
+        break;
+      case WindowOutcome::kQuiet:
+        ++out.windows_skipped_quiet;
+        break;
+      case WindowOutcome::kScanned:
+        ++out.windows_scanned;
+        // Window boundaries are implicit change points so segment levels
+        // never average across windows.
+        if (end < v.size()) scratch.cps.push_back(end);
+        break;
+    }
+  }
 }
 
 void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
@@ -138,7 +161,7 @@ void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
   }
   check_episode_invariants(out.episodes);
 
-  // Statistical significance, identical sampling to the legacy path.
+  // Statistical significance, identical sampling to the scalar oracle.
   if (!out.episodes.empty()) {
     std::vector<double> baseline_samples;
     baseline_samples.reserve(2048);
@@ -168,120 +191,12 @@ void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
 LevelShiftResult detect_fast(const SeriesView& series, const LevelShiftOptions& opts,
                              DetectScratch& scratch) {
   LevelShiftResult out;
-  const std::span<const double> v = series.ms;
   std::size_t win = 0;
   if (!detail::prepare_series(series, opts, scratch, out, win)) return out;
   scratch.cps.clear();
-  for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
-    const std::size_t end = std::min(begin + win, v.size());
-    const std::span<const double> chunk(v.data() + begin, end - begin);
-    const std::size_t finite = scratch.index.not_nan(begin, end);
-    switch (detail::scan_window(chunk, begin, finite, opts, scratch.cp, scratch.finite,
-                                scratch.cps)) {
-      case detail::WindowOutcome::kDark:
-        ++out.windows_skipped_dark;
-        break;
-      case detail::WindowOutcome::kQuiet:
-        ++out.windows_skipped_quiet;
-        break;
-      case detail::WindowOutcome::kScanned:
-        ++out.windows_scanned;
-        if (end < v.size()) scratch.cps.push_back(end);
-        break;
-    }
-  }
-
+  detail::scan_windows(series, opts, win, 0, scratch, out);
   detail::assemble_result(series, opts, scratch, out);
   return out;
-}
-
-std::vector<LevelShiftResult> detect_batch(const SeriesBatch& batch, const LevelShiftOptions& opts) {
-  std::vector<LevelShiftResult> results;
-  results.reserve(batch.size());
-  if (opts.engine == DetectorEngine::kLegacy) {
-    // Batch API over the scalar engine: used by the benchmark baseline.
-    LevelShiftDetector legacy(opts);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      RttSeries s;
-      const SeriesView view = batch.view(i);
-      s.start = view.start;
-      s.interval = view.interval;
-      s.ms.assign(view.ms.begin(), view.ms.end());
-      results.push_back(legacy.detect_legacy(s));
-    }
-    return results;
-  }
-
-  // Three-phase sweep, byte-identical to per-series detect_fast calls:
-  // gates and preambles first, then every surviving window of every series
-  // through the interleaved change-point driver in one submission, then the
-  // per-series assembly.  Phase B is where the time goes, and batching it
-  // lets four windows' bootstrap streams overlap instead of serializing on
-  // one generator's latency chain.
-  DetectScratch scratch;
-
-  // One scanned window: which series it belongs to, where it starts, and
-  // whether detect_fast would append the window-end split candidate.
-  struct WindowRef {
-    std::size_t series;
-    std::size_t begin;
-    std::size_t end;
-    bool push_end;
-  };
-  std::vector<stats::ChangePointTask> tasks;
-  std::vector<WindowRef> refs;
-  std::vector<char> needs_assembly(batch.size(), 0);
-
-  for (std::size_t si = 0; si < batch.size(); ++si) {
-    const SeriesView series = batch.view(si);
-    LevelShiftResult out;
-    std::size_t win = 0;
-    if (!detail::prepare_series(series, opts, scratch, out, win)) {
-      results.push_back(std::move(out));
-      continue;
-    }
-    needs_assembly[si] = 1;
-    const std::span<const double> v = series.ms;
-    for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
-      const std::size_t end = std::min(begin + win, v.size());
-      const std::span<const double> chunk(v.data() + begin, end - begin);
-      const std::size_t finite = scratch.index.not_nan(begin, end);
-      switch (detail::gate_window(chunk, finite, opts, scratch.finite)) {
-        case detail::WindowOutcome::kDark:
-          ++out.windows_skipped_dark;
-          break;
-        case detail::WindowOutcome::kQuiet:
-          ++out.windows_skipped_quiet;
-          break;
-        case detail::WindowOutcome::kScanned:
-          ++out.windows_scanned;
-          tasks.push_back({chunk, detail::window_cusum_options(opts, begin), {}});
-          refs.push_back({si, begin, end, end < v.size()});
-          break;
-      }
-    }
-    results.push_back(std::move(out));
-  }
-
-  stats::detect_change_point_indices_batch(tasks, scratch.cp);
-
-  std::size_t ri = 0;
-  for (std::size_t si = 0; si < batch.size(); ++si) {
-    if (!needs_assembly[si]) continue;
-    const SeriesView series = batch.view(si);
-    // assemble_result reads the finite index for episode support and gap
-    // bridging; rebuild it for this series (phase A reused one scratch).
-    scratch.index.build(series.ms, std::max<std::size_t>(1, opts.gap_min_run));
-    scratch.cps.clear();
-    for (; ri < refs.size() && refs[ri].series == si; ++ri) {
-      for (const std::size_t idx : tasks[ri].found) {
-        scratch.cps.push_back(refs[ri].begin + idx);
-      }
-      if (refs[ri].push_end) scratch.cps.push_back(refs[ri].end);
-    }
-    detail::assemble_result(series, opts, scratch, results[si]);
-  }
-  return results;
 }
 
 }  // namespace ixp::tslp

@@ -1,10 +1,11 @@
-// The TSLP fast path: a scratch-reusing, vectorized implementation of the
-// level-shift detector, plus a structure-of-arrays batch front end.
+// The TSLP level-shift detector: a scratch-reusing, vectorized
+// implementation of the paper's §5.2 pipeline over a borrowed series view.
 //
-// detect_fast() is byte-identical to LevelShiftDetector::detect_legacy()
-// on every input (see docs/ARCHITECTURE.md, "TSLP fast path", for the
-// argument; tests/test_tslp.cc and the golden corpus pin it).  The speed
-// comes from exact transformations only:
+// detect_fast() is the one production detector.  It is byte-identical to
+// the scalar reference pipeline kept in tests/oracle/ on every input (see
+// docs/ARCHITECTURE.md, "TSLP fast path", for the argument;
+// tests/test_tslp.cc and the golden corpus pin it).  The speed comes from
+// exact transformations only:
 //   * change-point detection returns accepted *indices* without the
 //     discarded per-point confidence re-estimation and segment medians
 //     (stats::detect_change_point_indices);
@@ -17,7 +18,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "stats/changepoint.h"
@@ -53,8 +53,7 @@ struct SeriesView {
 }
 
 /// Reusable buffers for detect_fast: one instance amortizes every
-/// allocation across the windows of a series and across the series of a
-/// batch.
+/// allocation across the windows of a series and across series.
 struct DetectScratch {
   FiniteIndex index;
   stats::ChangePointScratch cp;
@@ -63,8 +62,9 @@ struct DetectScratch {
   std::vector<stats::ChangePoint> cp_structs;
 };
 
-/// The fast detector.  Byte-identical to detect_legacy on the same samples,
-/// options, and time base.
+/// The detector.  Classification (CongestionClassifier::classify) and
+/// LevelShiftDetector::detect call it directly; OnlineLevelShift::finalize
+/// runs the same three steps below with its pre-scanned windows.
 LevelShiftResult detect_fast(const SeriesView& series, const LevelShiftOptions& opts,
                              DetectScratch& scratch);
 
@@ -72,88 +72,36 @@ namespace detail {
 
 enum class WindowOutcome { kDark, kQuiet, kScanned };
 
-/// Just the darkness and quiet-spread gates of scan_window, no detection:
-/// the batch engine gates every window first, then hands the surviving
-/// windows to the change-point driver in one submission.
-WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
-                          const LevelShiftOptions& opts, std::vector<double>& finite_buf);
-
-/// The shared preamble of detect_fast and the batch sweep: validates the
-/// view, builds the finite index, computes coverage / gaps / baseline, and
-/// derives the window size.  Returns false when detection ends here (empty
-/// series, coverage refusal, or NaN baseline); `out` is then final.
+/// The preamble: validates the view, builds the finite index, computes
+/// coverage / gaps / baseline, and derives the window size.  Returns false
+/// when detection ends here (empty series, coverage refusal, or NaN
+/// baseline); `out` is then final.
 bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
                     DetectScratch& scratch, LevelShiftResult& out, std::size_t& win);
 
 /// One analysis window: the darkness and quiet-spread skips, then
 /// change-point detection with the window's perturbed seed.  Accepted
-/// global indices are appended to `cps`.  Shared by the batch and online
-/// engines so a window is processed identically no matter when its samples
-/// arrived.  `finite` must be the chunk's not-NaN count.
+/// global indices are appended to `cps`.  The online detector calls it as
+/// each window fills, so a window is processed identically no matter when
+/// its samples arrived.  `finite` must be the chunk's not-NaN count.
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
                           const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
                           std::vector<double>& finite_buf, std::vector<std::size_t>& cps);
 
-/// The assembly tail shared by detect_fast and OnlineLevelShift::finalize:
-/// sort/unique scratch.cps, segments, elevated episodes, sanitization,
-/// duration filter, Mann-Whitney significance.  Requires out.baseline_ms
-/// set and scratch.index built over `series`.
+/// The window loop: scans the 50%-overlapping windows of `win` samples
+/// whose begins are first_begin, first_begin + win/2, ... up to the series
+/// end, counting each outcome in `out` and appending accepted change points
+/// (plus each scanned window's end, when it is not the series end) to
+/// scratch.cps.  Requires scratch.index built over `series`.
+void scan_windows(const SeriesView& series, const LevelShiftOptions& opts, std::size_t win,
+                  std::size_t first_begin, DetectScratch& scratch, LevelShiftResult& out);
+
+/// The assembly tail: sort/unique scratch.cps, segments, elevated
+/// episodes, sanitization, duration filter, Mann-Whitney significance.
+/// Requires out.baseline_ms set and scratch.index built over `series`.
 void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
                      DetectScratch& scratch, LevelShiftResult& out);
 
 }  // namespace detail
-
-/// Structure-of-arrays container for many series: all samples live in one
-/// contiguous buffer with per-series extents, so a batch detection sweep
-/// walks memory linearly and reuses one scratch for every series.
-class SeriesBatch {
- public:
-  void add(std::string key, const RttSeries& s) {
-    add(std::move(key), s.start, s.interval, s.ms);
-  }
-  /// Pre-sizes the columnar buffers so a pack loop with known totals never
-  /// pays growth copies of the sample store (tens of MB for a campaign).
-  void reserve(std::size_t series, std::size_t samples) {
-    samples_.reserve(samples);
-    offsets_.reserve(series + 1);
-    starts_.reserve(series);
-    intervals_.reserve(series);
-    keys_.reserve(series);
-  }
-  void add(std::string key, TimePoint start, Duration interval, std::span<const double> ms) {
-    IXP_CHECK(interval.count() > 0, "SeriesBatch interval must be positive");
-    samples_.insert(samples_.end(), ms.begin(), ms.end());
-    offsets_.push_back(samples_.size());
-    starts_.push_back(start);
-    intervals_.push_back(interval);
-    keys_.push_back(std::move(key));
-  }
-  void clear() {
-    samples_.clear();
-    offsets_.assign(1, 0);
-    starts_.clear();
-    intervals_.clear();
-    keys_.clear();
-  }
-  [[nodiscard]] std::size_t size() const { return starts_.size(); }
-  [[nodiscard]] std::size_t total_samples() const { return samples_.size(); }
-  [[nodiscard]] const std::string& key(std::size_t i) const { return keys_[i]; }
-  [[nodiscard]] SeriesView view(std::size_t i) const {
-    return SeriesView{
-        std::span<const double>(samples_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]),
-        starts_[i], intervals_[i]};
-  }
-
- private:
-  std::vector<double> samples_;
-  std::vector<std::size_t> offsets_{0};
-  std::vector<TimePoint> starts_;
-  std::vector<Duration> intervals_;
-  std::vector<std::string> keys_;
-};
-
-/// Runs detect_fast over every series of the batch with one shared scratch.
-/// results[i] corresponds to batch.view(i).
-std::vector<LevelShiftResult> detect_batch(const SeriesBatch& batch, const LevelShiftOptions& opts);
 
 }  // namespace ixp::tslp

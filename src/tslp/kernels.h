@@ -3,10 +3,10 @@
 // FiniteIndex is one fused O(n) pass over a series that yields everything
 // the detector's bookkeeping needs afterwards in O(1): per-range not-NaN
 // counts (window darkness, episode coverage, all-missing bridging) and the
-// explicit gap list find_gaps() would have produced.  The legacy detector
-// recomputes each of these with its own loop; the fast engine builds the
-// index once and reuses it, which is exact because every consumer only ever
-// needed the count or the run boundaries.
+// explicit gap list find_gaps() would have produced.  The scalar oracle
+// (tests/oracle/) recomputes each of these with its own loop; the detector
+// builds the index once and reuses it, which is exact because every
+// consumer only ever needed the count or the run boundaries.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@ class FiniteIndex {
     return prefix_[end] - prefix_[begin];
   }
   /// True when [begin, end) contains no not-NaN sample (an empty range is
-  /// all-missing, matching the legacy loop's vacuous truth).
+  /// all-missing, matching the oracle loop's vacuous truth).
   [[nodiscard]] bool all_missing(std::size_t begin, std::size_t end) const {
     return not_nan(begin, end) == 0;
   }

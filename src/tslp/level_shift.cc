@@ -1,10 +1,7 @@
 #include "tslp/level_shift.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "stats/descriptive.h"
-#include "stats/ranks.h"
 #include "tslp/engine.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -101,159 +98,8 @@ std::vector<Episode> sanitize_episodes(
 }
 
 LevelShiftResult LevelShiftDetector::detect(const RttSeries& series) const {
-  if (opts_.engine == DetectorEngine::kLegacy) return detect_legacy(series);
   thread_local DetectScratch scratch;
   return detect_fast(view_of(series), opts_, scratch);
-}
-
-LevelShiftResult LevelShiftDetector::detect_legacy(const RttSeries& series) const {
-  LevelShiftResult out;
-  const auto& v = series.ms;
-  if (v.empty()) return out;
-  IXP_CHECK(series.interval.count() > 0,
-            strformat("RttSeries interval must be positive, got %lldns",
-                      static_cast<long long>(series.interval.count())));
-  IXP_CHECK(series.index_of(series.time_of(v.size() - 1)) == v.size() - 1,
-            "RttSeries index/time round-trip is broken");
-
-  // Gap accounting: explicit markers for the missing runs, and a coverage
-  // early-out — a series that is almost entirely dark (monitor outage for
-  // most of the window) cannot support any verdict.
-  out.coverage = series.coverage();
-  out.gaps = find_gaps(series, std::max<std::size_t>(1, opts_.gap_min_run));
-  if (out.coverage < opts_.min_coverage) {
-    out.refused_low_coverage = true;
-    return out;
-  }
-
-  // Baseline: the 10th percentile of the whole series is a robust estimate
-  // of the uncongested RTT floor.
-  out.baseline_ms = stats::quantile(v, 0.10);
-  if (std::isnan(out.baseline_ms)) return out;
-
-  // Change-point analysis over 50%-overlapping windows; change points are
-  // global indices.  The overlap matters: a shift that happens to land
-  // exactly on a window boundary is flat inside both adjacent windows (and
-  // the quiet-window fast path would skip them), but it sits mid-window in
-  // the offset pass.
-  const std::size_t win = std::max<std::size_t>(
-      2, static_cast<std::size_t>(opts_.window.count() / series.interval.count()));
-  std::vector<std::size_t> cps;
-  for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
-    const std::size_t end = std::min(begin + win, v.size());
-    const std::span<const double> chunk(v.data() + begin, end - begin);
-    // Mostly-dark windows are skipped outright: a handful of surviving
-    // samples cannot support a change-point decision, and the bootstrap's
-    // rank transform would amplify their noise.
-    std::size_t finite = 0;
-    for (const double x : chunk) {
-      if (!std::isnan(x)) ++finite;
-    }
-    if (finite < opts_.min_finite_window) {
-      ++out.windows_skipped_dark;
-      continue;
-    }
-    if (opts_.skip_quiet_windows) {
-      const double hi = stats::quantile(chunk, 0.95);
-      const double lo = stats::quantile(chunk, 0.05);
-      if (!(hi - lo >= opts_.threshold_ms / 2.0)) {
-        ++out.windows_skipped_quiet;
-        continue;
-      }
-    }
-    ++out.windows_scanned;
-    stats::CusumOptions copt = opts_.cusum;
-    copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
-    for (const auto& cp : stats::detect_change_points(chunk, copt)) {
-      cps.push_back(begin + cp.index);
-    }
-    // Window boundaries are implicit change points so segment levels never
-    // average across windows.
-    if (end < v.size()) cps.push_back(end);
-  }
-  std::sort(cps.begin(), cps.end());
-  cps.erase(std::unique(cps.begin(), cps.end()), cps.end());
-
-  // Build segments over the whole series.
-  std::vector<stats::ChangePoint> cp_structs;
-  cp_structs.reserve(cps.size());
-  for (const std::size_t idx : cps) {
-    stats::ChangePoint cp;
-    cp.index = idx;
-    cp.confidence = 1.0;
-    cp_structs.push_back(cp);
-  }
-  out.segments = stats::to_segments(v, cp_structs);
-
-  // Elevated segments -> raw episodes.  Episodes whose span is mostly
-  // missing are unsupported: the segment level rests on too few samples.
-  std::vector<Episode> raw;
-  for (const auto& seg : out.segments) {
-    if (std::isnan(seg.level)) continue;
-    if (seg.level - out.baseline_ms >= opts_.threshold_ms) {
-      std::size_t finite = 0;
-      for (std::size_t i = seg.begin; i < seg.end; ++i) {
-        if (!std::isnan(v[i])) ++finite;
-      }
-      const double span = static_cast<double>(seg.end - seg.begin);
-      if (span <= 0 || static_cast<double>(finite) / span < opts_.min_episode_coverage) {
-        continue;
-      }
-      raw.push_back({seg.begin, seg.end, seg.level - out.baseline_ms});
-    }
-  }
-
-  // Sanitize: merge episodes separated by gaps <= merge_gap, and bridge
-  // across all-missing runs of any length — the series was still elevated
-  // at the last sample before the gap and at the first one after it, and
-  // the gap itself carries no evidence the level came back down.
-  const std::size_t gap_samples = std::max<std::size_t>(
-      1, static_cast<std::size_t>(opts_.merge_gap.count() / series.interval.count()));
-  const auto all_missing = [&v](std::size_t from, std::size_t to) {
-    for (std::size_t i = from; i < to; ++i) {
-      if (!std::isnan(v[i])) return false;
-    }
-    return true;
-  };
-  out.raw_episode_count = raw.size();
-  const std::vector<Episode> merged = sanitize_episodes(
-      std::move(raw), gap_samples,
-      opts_.bridge_gaps
-          ? std::function<bool(std::size_t, std::size_t)>(all_missing)
-          : nullptr);
-
-  // Duration filter (ceil: see min_episode_samples).
-  const std::size_t min_samples = min_episode_samples(opts_.min_duration, series.interval);
-  for (const auto& e : merged) {
-    if (e.samples() >= min_samples) out.episodes.push_back(e);
-  }
-  check_episode_invariants(out.episodes);
-
-  // Statistical significance: each surviving episode against a baseline
-  // sample drawn from the non-elevated segments (capped for cost).
-  if (!out.episodes.empty()) {
-    std::vector<double> baseline_samples;
-    baseline_samples.reserve(2048);
-    for (const auto& seg : out.segments) {
-      if (std::isnan(seg.level) || seg.level - out.baseline_ms >= opts_.threshold_ms) continue;
-      const std::size_t step = std::max<std::size_t>(1, (seg.end - seg.begin) / 64);
-      for (std::size_t i = seg.begin; i < seg.end && baseline_samples.size() < 2048; i += step) {
-        if (std::isfinite(v[i])) baseline_samples.push_back(v[i]);
-      }
-    }
-    for (auto& e : out.episodes) {
-      if (baseline_samples.size() < 8) break;
-      const std::size_t n = std::min<std::size_t>(e.samples(), 512);
-      std::vector<double> ep;
-      ep.reserve(n);
-      const std::size_t step = std::max<std::size_t>(1, e.samples() / n);
-      for (std::size_t i = e.begin; i < e.end; i += step) {
-        if (std::isfinite(v[i])) ep.push_back(v[i]);
-      }
-      if (ep.size() >= 8) e.p_value = stats::mann_whitney_pvalue(ep, baseline_samples);
-    }
-  }
-  return out;
 }
 
 }  // namespace ixp::tslp

@@ -23,15 +23,6 @@
 
 namespace ixp::tslp {
 
-/// Which implementation LevelShiftDetector::detect runs.  Both produce
-/// byte-identical results (pinned by the golden corpus and the equivalence
-/// suites in tests/test_tslp.cc); kLegacy is retained as the oracle and as
-/// the benchmark baseline.
-enum class DetectorEngine {
-  kFast,    ///< scratch-reusing, vectorized path (tslp/engine.h)
-  kLegacy,  ///< original per-series scalar pipeline
-};
-
 struct LevelShiftOptions {
   double threshold_ms = 10.0;        ///< minimum magnitude to label a shift
   Duration min_duration = kMinute * 30;
@@ -64,9 +55,6 @@ struct LevelShiftOptions {
   /// carries no evidence that the level ever came back down.  (Gaps with
   /// even one quiet finite sample in between still split episodes.)
   bool bridge_gaps = true;
-
-  /// Implementation selector; results are identical either way.
-  DetectorEngine engine = DetectorEngine::kFast;
 };
 
 /// Episode duration floor in samples.  Rounds *up*: an episode shorter than
@@ -112,8 +100,8 @@ std::vector<Episode> sanitize_episodes(
     std::vector<Episode> raw, std::size_t gap_samples,
     const std::function<bool(std::size_t, std::size_t)>& also_merge);
 
-/// Paranoid-mode invariant check (sorted, non-overlapping, non-empty);
-/// shared by both detector engines.  No-op unless paranoid checks are on.
+/// Paranoid-mode invariant check (sorted, non-overlapping, non-empty).
+/// No-op unless paranoid checks are on.
 void check_episode_invariants(const std::vector<Episode>& episodes);
 
 struct LevelShiftResult {
@@ -129,8 +117,8 @@ struct LevelShiftResult {
   /// and the detector refused to emit any verdict.
   bool refused_low_coverage = false;
 
-  // Window telemetry (identical across engines; the fast path's skip
-  // shortcuts classify windows exactly as the scalar loop would).
+  // Window telemetry (the detector's skip shortcuts classify windows
+  // exactly as the scalar oracle's loop would).
   std::size_t windows_scanned = 0;        ///< ran change-point detection
   std::size_t windows_skipped_dark = 0;   ///< fewer than min_finite_window
   std::size_t windows_skipped_quiet = 0;  ///< p95-p05 spread below threshold/2
@@ -148,12 +136,8 @@ class LevelShiftDetector {
  public:
   explicit LevelShiftDetector(LevelShiftOptions opts = {}) : opts_(opts) {}
 
-  /// Runs the full pipeline on one series, dispatching on opts.engine.
+  /// Runs the full pipeline on one series (detect_fast, tslp/engine.h).
   [[nodiscard]] LevelShiftResult detect(const RttSeries& series) const;
-
-  /// The original scalar pipeline, regardless of opts.engine — the
-  /// equivalence oracle and the benchmark baseline.
-  [[nodiscard]] LevelShiftResult detect_legacy(const RttSeries& series) const;
 
   [[nodiscard]] const LevelShiftOptions& options() const { return opts_; }
 

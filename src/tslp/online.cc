@@ -1,9 +1,7 @@
 #include "tslp/online.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "stats/descriptive.h"
 #include "util/simd.h"
 #include "util/strings.h"
 
@@ -26,9 +24,8 @@ PushScratch& push_scratch() {
 
 }  // namespace
 
-OnlineLevelShift::OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Duration interval,
-                                   bool retain_samples)
-    : opts_(opts), start_(start), interval_(interval), retain_(retain_samples) {
+OnlineLevelShift::OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Duration interval)
+    : opts_(opts), start_(start), interval_(interval) {
   IXP_CHECK(interval_.count() > 0,
             strformat("OnlineLevelShift interval must be positive, got %lldns",
                       static_cast<long long>(interval_.count())));
@@ -39,14 +36,12 @@ OnlineLevelShift::OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Dura
 
 void OnlineLevelShift::push(double ms) {
   pending_.push_back(ms);
-  if (retain_) retained_.push_back(ms);
   ++n_;
   process_ready();
 }
 
 void OnlineLevelShift::push(std::span<const double> ms) {
   pending_.insert(pending_.end(), ms.begin(), ms.end());
-  if (retain_) retained_.insert(retained_.end(), ms.begin(), ms.end());
   n_ += ms.size();
   process_ready();
 }
@@ -84,69 +79,25 @@ LevelShiftResult OnlineLevelShift::finalize(const SeriesView& full, DetectScratc
   IXP_CHECK(full.ms.size() == n_,
             strformat("online detector saw %zu samples but finalize got a view of %zu", n_,
                       full.ms.size()));
-  IXP_CHECK(full.interval == interval_, "finalize view interval differs from the push time base");
+  IXP_CHECK(full.start == start_ && full.interval == interval_,
+            "finalize view time base differs from the push time base");
 
   LevelShiftResult out;
-  const std::span<const double> v = full.ms;
-  if (v.empty()) return out;
-  IXP_CHECK(full.index_of(full.time_of(v.size() - 1)) == v.size() - 1,
-            "SeriesView index/time round-trip is broken");
-
-  scratch.index.build(v, std::max<std::size_t>(1, opts_.gap_min_run));
-  out.coverage =
-      static_cast<double>(scratch.index.not_nan(0, v.size())) / static_cast<double>(v.size());
-  out.gaps = scratch.index.gaps();
-  if (out.coverage < opts_.min_coverage) {
-    out.refused_low_coverage = true;
-    return out;
-  }
-
-  scratch.finite.resize(v.size());
-  const std::size_t nf = simd::compact_finite(v, scratch.finite.data());
-  out.baseline_ms = stats::quantile_inplace(std::span<double>(scratch.finite.data(), nf), 0.10);
-  if (std::isnan(out.baseline_ms)) return out;
-
+  std::size_t win = 0;
+  if (!detail::prepare_series(full, opts_, scratch, out, win)) return out;
   out.windows_scanned = windows_scanned_;
   out.windows_skipped_dark = windows_skipped_dark_;
   out.windows_skipped_quiet = windows_skipped_quiet_;
 
   scratch.cps.assign(cps_.begin(), cps_.end());
   for (const std::size_t end : scanned_ends_) {
-    if (end < v.size()) scratch.cps.push_back(end);
+    if (end < full.ms.size()) scratch.cps.push_back(end);
   }
   // Trailing windows the stream never completed (all truncated at the
-  // series end), processed exactly as the batch loop would.
-  for (std::size_t begin = next_begin_; begin < v.size(); begin += stride_) {
-    const std::size_t end = std::min(begin + win_, v.size());
-    const std::span<const double> chunk(v.data() + begin, end - begin);
-    const std::size_t finite = scratch.index.not_nan(begin, end);
-    switch (detail::scan_window(chunk, begin, finite, opts_, scratch.cp, scratch.finite,
-                                scratch.cps)) {
-      case detail::WindowOutcome::kDark:
-        ++out.windows_skipped_dark;
-        break;
-      case detail::WindowOutcome::kQuiet:
-        ++out.windows_skipped_quiet;
-        break;
-      case detail::WindowOutcome::kScanned:
-        ++out.windows_scanned;
-        if (end < v.size()) scratch.cps.push_back(end);
-        break;
-    }
-  }
-
+  // series end), processed exactly as detect_fast's loop would.
+  detail::scan_windows(full, opts_, win, next_begin_, scratch, out);
   detail::assemble_result(full, opts_, scratch, out);
   return out;
-}
-
-LevelShiftResult OnlineLevelShift::finalize(const SeriesView& full) const {
-  thread_local DetectScratch scratch;
-  return finalize(full, scratch);
-}
-
-LevelShiftResult OnlineLevelShift::finalize() const {
-  IXP_CHECK(retain_, "finalize() without a view requires retain_samples = true");
-  return finalize(SeriesView{std::span<const double>(retained_), start_, interval_});
 }
 
 }  // namespace ixp::tslp

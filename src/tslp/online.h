@@ -14,7 +14,7 @@
 // when it is not the series end" rule, trailing truncated windows) is
 // deferred to finalize.  Feeding one sample at a time, in chunks at
 // arbitrary split points, or all at once therefore yields byte-identical
-// results to detect_fast -- and hence to the legacy scalar detector.
+// results to detect_fast -- and hence to the scalar oracle in tests/oracle/.
 // Amortized cost per sample is O(1) bootstraps-per-window aside; retained
 // state is O(window) samples plus the accepted change points.
 #pragma once
@@ -31,12 +31,9 @@ namespace ixp::tslp {
 class OnlineLevelShift {
  public:
   /// `start`/`interval` fix the series time base (must match the view
-  /// given to finalize).  With `retain_samples`, the detector keeps its
-  /// own copy of the series so the no-argument finalize() works -- handy
-  /// for tests and standalone use; campaigns leave it off and finalize
-  /// against the columnar store's decode buffer.
-  OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Duration interval,
-                   bool retain_samples = false);
+  /// given to finalize).  The detector keeps no copy of the series:
+  /// campaigns finalize against the columnar store's decode buffer.
+  OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Duration interval);
 
   /// Appends one sample (NaN = unanswered probe) and processes any
   /// analysis window it completes.
@@ -59,9 +56,6 @@ class OnlineLevelShift {
   /// time base.  Does not mutate detector state: pushing more samples and
   /// finalizing again later is allowed (the always-on observatory mode).
   [[nodiscard]] LevelShiftResult finalize(const SeriesView& full, DetectScratch& scratch) const;
-  [[nodiscard]] LevelShiftResult finalize(const SeriesView& full) const;
-  /// Requires retain_samples = true.
-  [[nodiscard]] LevelShiftResult finalize() const;
 
   [[nodiscard]] const LevelShiftOptions& options() const { return opts_; }
 
@@ -71,11 +65,9 @@ class OnlineLevelShift {
   LevelShiftOptions opts_;
   TimePoint start_;
   Duration interval_;
-  bool retain_;
   std::size_t win_ = 2;
   std::size_t stride_ = 1;
 
-  std::vector<double> retained_;  ///< full copy, only when retain_
   std::vector<double> pending_;   ///< samples [base_, n_)
   std::size_t base_ = 0;
   std::size_t n_ = 0;

@@ -194,14 +194,4 @@ inline bool cusum_i32_range_below(std::span<const std::int32_t> v, std::int64_t 
   return hi - lo < observed;
 }
 
-/// True when the implementation actually uses vector instructions (for
-/// bench metadata; the results are identical either way).
-constexpr bool vectorized() {
-#if defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace ixp::simd

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 
+#include "oracle/oracle.h"
 #include "series/columnar.h"
 #include "tslp/classifier.h"
 #include "tslp/engine.h"
@@ -575,6 +576,69 @@ TEST(Classifier, WeekdayWeekendSplit) {
   EXPECT_GT(rep.waveform.weekday_peak_ms, rep.waveform.weekend_peak_ms * 1.5);
 }
 
+TEST(Classifier, WeekdayWeekendSplitMatchesOracle) {
+  // The production split buckets whole calendar days at a time; the oracle
+  // classifies every sample through to_calendar.  They must agree bit for
+  // bit wherever day blocks are awkward: times before the epoch (clamped
+  // to day 0), a cadence that does not divide a day, a start mid-day, a
+  // Friday -> Saturday boundary, and calendar days with no finite sample.
+  struct Case {
+    const char* name;
+    TimePoint start;
+    Duration interval;
+    std::size_t samples;
+  };
+  const Case cases[] = {
+      {"negative start", TimePoint(-(kDay * 8 + kHour * 5)), kMinute * 5, 16 * kSamplesPerDay},
+      {"7-min cadence", TimePoint{}, kMinute * 7, 3000},
+      {"mid-day start", TimePoint(kHour * 13 + kMinute * 17), kMinute * 5, 9 * kSamplesPerDay},
+      {"Friday to Saturday", TimePoint(kDay * 4 + kHour * 22), kMinute * 5, 4 * kSamplesPerDay},
+      {"negative start, 7-min cadence", TimePoint(-(kDay + kMinute * 3)), kMinute * 7, 2500},
+  };
+  Rng rng(0x3eeed);
+  for (const auto& c : cases) {
+    for (const bool dark_days : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (dark_days ? ", dark days" : ""));
+      RttSeries s;
+      s.start = c.start;
+      s.interval = c.interval;
+      for (std::size_t i = 0; i < c.samples; ++i) {
+        s.ms.push_back(rng.chance(0.05) ? kMissing : rng.uniform(2.0, 40.0));
+      }
+      if (dark_days) {
+        // Day 1 and every weekend day answer nothing at all.
+        for (std::size_t i = 0; i < s.ms.size(); ++i) {
+          const CalendarTime t = to_calendar(s.time_of(i));
+          if (t.day == 1 || t.is_weekend) s.ms[i] = kMissing;
+        }
+      }
+      double weekday = -1.0, weekend = -1.0, want_weekday = -1.0, want_weekend = -1.0;
+      weekday_weekend_peaks(s, 3.0, weekday, weekend);
+      oracle::weekday_weekend_peaks(s, 3.0, want_weekday, want_weekend);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(weekday), std::bit_cast<std::uint64_t>(want_weekday));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(weekend), std::bit_cast<std::uint64_t>(want_weekend));
+      EXPECT_GT(weekday, 0.0);
+      if (dark_days) {
+        EXPECT_EQ(weekend, 0.0);
+      } else {
+        EXPECT_GT(weekend, 0.0);
+      }
+    }
+  }
+  // A series with no finite sample at all: both sides report 0.
+  RttSeries dark;
+  dark.start = TimePoint(-kHour);
+  dark.interval = kMinute * 7;
+  dark.ms.assign(2 * kSamplesPerDay, kMissing);
+  double weekday = -1.0, weekend = -1.0, want_weekday = -1.0, want_weekend = -1.0;
+  weekday_weekend_peaks(dark, 3.0, weekday, weekend);
+  oracle::weekday_weekend_peaks(dark, 3.0, want_weekday, want_weekend);
+  EXPECT_EQ(weekday, 0.0);
+  EXPECT_EQ(weekend, 0.0);
+  EXPECT_EQ(want_weekday, 0.0);
+  EXPECT_EQ(want_weekend, 0.0);
+}
+
 TEST(Classifier, FarSideGoesDarkStillSustained) {
   // GIXA-GHANATEL phase 2: probing stops answering on 06/08; the pattern
   // ran right up to the blackout, so the congestion counts as sustained.
@@ -719,7 +783,8 @@ TEST(LossCorrelation, AllBatchesEmptyIsUndefined) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: legacy scalar vs fast SoA vs online, byte for byte
+// Engine equivalence: the scalar oracle vs detect_fast vs online, byte for
+// byte
 
 // Asserts two detector results are bit-identical in every field a
 // downstream consumer can observe.
@@ -811,31 +876,12 @@ std::vector<RttSeries> equivalence_corpus() {
 
 TEST(EngineEquivalence, FastMatchesLegacyOnCorpus) {
   LevelShiftOptions opts;
-  opts.engine = DetectorEngine::kFast;
   LevelShiftDetector det(opts);
   std::size_t idx = 0;
   for (const auto& s : equivalence_corpus()) {
     const auto fast = det.detect(s);
-    const auto legacy = det.detect_legacy(s);
+    const auto legacy = oracle::detect_legacy(s, opts);
     expect_same_result(fast, legacy, ("corpus series " + std::to_string(idx++)).c_str());
-  }
-}
-
-TEST(EngineEquivalence, BatchMatchesLegacyOnCorpus) {
-  LevelShiftOptions opts;
-  const auto corpus = equivalence_corpus();
-  SeriesBatch batch;
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const auto& s = corpus[i];
-    batch.add("series-" + std::to_string(i), s.start, s.interval,
-              std::span<const double>(s.ms));
-  }
-  const auto results = detect_batch(batch, opts);
-  ASSERT_EQ(results.size(), corpus.size());
-  LevelShiftDetector det(opts);
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    expect_same_result(results[i], det.detect_legacy(corpus[i]),
-                       ("corpus series " + std::to_string(i)).c_str());
   }
 }
 
@@ -847,17 +893,18 @@ TEST(OnlineProperty, OneAtATimeMatchesAllAtOnce) {
   std::size_t idx = 0;
   for (const auto& s : equivalence_corpus()) {
     SCOPED_TRACE("corpus series " + std::to_string(idx++));
-    OnlineLevelShift one(opts, s.start, s.interval, /*retain_samples=*/true);
+    OnlineLevelShift one(opts, s.start, s.interval);
     for (const double x : s.ms) one.push(x);
-    OnlineLevelShift all(opts, s.start, s.interval, /*retain_samples=*/true);
+    OnlineLevelShift all(opts, s.start, s.interval);
     all.push(std::span<const double>(s.ms));
-    const auto a = one.finalize();
-    const auto b = all.finalize();
+    DetectScratch scratch;
+    const auto a = one.finalize(view_of(s), scratch);
+    const auto b = all.finalize(view_of(s), scratch);
     expect_same_result(a, b, "one-at-a-time vs all-at-once");
-    // And both match the offline engines.
+    // And both match the offline detector and the oracle.
     LevelShiftDetector det(opts);
     expect_same_result(a, det.detect(s), "online vs fast");
-    expect_same_result(a, det.detect_legacy(s), "online vs legacy");
+    expect_same_result(a, oracle::detect_legacy(s, opts), "online vs legacy");
   }
 }
 
@@ -865,13 +912,14 @@ TEST(OnlineProperty, ChunkedFeedAtRandomSplitsMatches) {
   LevelShiftOptions opts;
   const auto corpus = equivalence_corpus();
   Rng rng(0xc4a11);
+  DetectScratch scratch;
   for (std::size_t idx = 0; idx < corpus.size(); ++idx) {
     const auto& s = corpus[idx];
     LevelShiftDetector det(opts);
     const auto want = det.detect(s);
     for (int trial = 0; trial < 3; ++trial) {
       SCOPED_TRACE("series " + std::to_string(idx) + " trial " + std::to_string(trial));
-      OnlineLevelShift online(opts, s.start, s.interval, /*retain_samples=*/true);
+      OnlineLevelShift online(opts, s.start, s.interval);
       std::size_t fed = 0;
       while (fed < s.ms.size()) {
         const std::size_t chunk = static_cast<std::size_t>(
@@ -879,7 +927,7 @@ TEST(OnlineProperty, ChunkedFeedAtRandomSplitsMatches) {
         online.push(std::span<const double>(s.ms).subspan(fed, chunk));
         fed += chunk;
       }
-      expect_same_result(online.finalize(), want, "chunked vs fast");
+      expect_same_result(online.finalize(view_of(s), scratch), want, "chunked vs fast");
     }
   }
 }
@@ -889,15 +937,18 @@ TEST(OnlineProperty, FinalizeIsRepeatableAndResumable) {
   // then feeding the rest must equal the never-finalized run.
   LevelShiftOptions opts;
   const auto s = diurnal_far(10, 2.0, 18.0, 12.0, 6.0, 0.3, 120);
-  OnlineLevelShift online(opts, s.start, s.interval, /*retain_samples=*/true);
+  OnlineLevelShift online(opts, s.start, s.interval);
   const std::size_t half = s.ms.size() / 2;
   online.push(std::span<const double>(s.ms).first(half));
-  const auto mid1 = online.finalize();
-  const auto mid2 = online.finalize();
+  const SeriesView first_half{std::span<const double>(s.ms).first(half), s.start, s.interval};
+  DetectScratch scratch;
+  const auto mid1 = online.finalize(first_half, scratch);
+  const auto mid2 = online.finalize(first_half, scratch);
   expect_same_result(mid1, mid2, "repeated finalize");
   online.push(std::span<const double>(s.ms).subspan(half));
   LevelShiftDetector det(opts);
-  expect_same_result(online.finalize(), det.detect(s), "resume after finalize");
+  expect_same_result(online.finalize(view_of(s), scratch), det.detect(s),
+                     "resume after finalize");
 }
 
 TEST(OnlineProperty, BoundedMemory) {
@@ -929,7 +980,7 @@ TEST(LevelShiftBoundary, EpisodeCanBeginAtSampleZero) {
   for (std::size_t i = 0; i < 2 * kSamplesPerDay; ++i) s.ms[i] += 20.0;
   LevelShiftDetector det;
   const auto fast = det.detect(s);
-  const auto legacy = det.detect_legacy(s);
+  const auto legacy = oracle::detect_legacy(s, det.options());
   for (const auto* res : {&fast, &legacy}) {
     ASSERT_TRUE(res->any());
     EXPECT_EQ(res->episodes.front().begin, 0u);
@@ -947,7 +998,7 @@ TEST(LevelShiftBoundary, EpisodeCanEndAtFinalSample) {
   for (std::size_t i = s.ms.size() - 2 * kSamplesPerDay; i < s.ms.size(); ++i) s.ms[i] += 20.0;
   LevelShiftDetector det;
   const auto fast = det.detect(s);
-  const auto legacy = det.detect_legacy(s);
+  const auto legacy = oracle::detect_legacy(s, det.options());
   for (const auto* res : {&fast, &legacy}) {
     ASSERT_TRUE(res->any());
     EXPECT_EQ(res->episodes.back().end, s.ms.size());
@@ -968,7 +1019,7 @@ TEST(LevelShiftBoundary, EpisodeBoundsHoldAcrossGapRuns) {
   for (std::size_t i = s.ms.size() - 50; i < s.ms.size(); ++i) s.ms[i] = kMissing;
   LevelShiftDetector det;
   const auto fast = det.detect(s);
-  const auto legacy = det.detect_legacy(s);
+  const auto legacy = oracle::detect_legacy(s, det.options());
   expect_same_result(fast, legacy, "gap-run series");
   ASSERT_TRUE(fast.any());
   for (const auto& e : fast.episodes) {

@@ -13,11 +13,9 @@
 //   afixp selftest  [--golden-dir tests/golden] [--update-golden]
 //       golden-regression checks of the statistics path (level shifts,
 //       change points, diurnal scoring, loss correlation).
-//   afixp bench     [--smoke] [--out BENCH_sim.json] [--only <name>] [--tslp]
+//   afixp bench     [--smoke] [--out BENCH_sim.json] [--only <name>]
 //       probe hot-path benchmark harness; emits the BENCH_sim.json perf
 //       record compared across PRs (see README "Benchmark harness").
-//       --tslp runs the TSLP statistics harness instead (scalar vs batch
-//       vs online detector engines -> BENCH_tslp.json).
 //   afixp chaos     [--plan default] [--seed 1] [--fast] [--jobs N]
 //       run the six VP campaigns under a named fault plan and score the
 //       classifier against the engineered ground truth (precision/recall
@@ -87,6 +85,13 @@ std::string resolve_metrics_out(const Flags& flags) {
   return env::string_value("IXP_METRICS").value_or("");
 }
 
+/// --round-minutes through the shared cadence check; nullopt, with the
+/// message on stderr, when the value is below 1.
+std::optional<Duration> round_interval_flag(const Flags& flags) {
+  return analysis::round_interval_from_minutes(
+      static_cast<double>(flags.get_int("round-minutes")), "--round-minutes", std::cerr);
+}
+
 /// Exports `reg` to `path` if non-empty; reports failures on stderr.
 int export_metrics(const std::string& path, const obs::Registry& reg) {
   if (path.empty()) return 0;
@@ -124,10 +129,12 @@ int cmd_campaign(int argc, const char* const* argv) {
     std::cerr << "--vp must be 1..6\n";
     return 2;
   }
+  const auto interval = round_interval_flag(flags);
+  if (!interval) return 2;
   const auto& spec = specs[static_cast<std::size_t>(vp - 1)];
   auto rt = analysis::build_scenario(spec);
   analysis::CampaignOptions opt;
-  opt.round_interval = kMinute * flags.get_int("round-minutes");
+  opt.round_interval = *interval;
   if (flags.get_int("days") > 0) opt.duration_override = kDay * flags.get_int("days");
   obs::Registry metrics_reg;
   const std::string metrics_out = resolve_metrics_out(flags);
@@ -215,13 +222,15 @@ int cmd_tables(int argc, const char* const* argv) {
     std::cout << flags.help_text() << "\n" << kEnvHelp;
     return 0;
   }
+  const auto interval = round_interval_flag(flags);
+  if (!interval) return 2;
   const auto specs = analysis::make_all_vps();
 
   // All six campaigns fan out across the fleet; the live status line and
   // the metrics table go to stderr so stdout stays machine-readable and
   // byte-identical for every --jobs value.
   analysis::FleetOptions fopt;
-  fopt.campaign.round_interval = kMinute * flags.get_int("round-minutes");
+  fopt.campaign.round_interval = *interval;
   if (flags.get_bool("fast")) fopt.campaign.duration_override = kDay * 42;
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
   analysis::FleetStatusPrinter status(std::cerr, specs);
@@ -281,19 +290,13 @@ int cmd_selftest(int argc, const char* const* argv) {
 int cmd_bench(int argc, const char* const* argv) {
   Flags flags("afixp bench", "probe hot-path benchmark harness (BENCH_sim.json)");
   flags.add_bool("smoke", false, "CI-sized workloads (seconds, not minutes)");
-  flags.add_string("out", "BENCH_sim.json", "output JSON path (empty = stdout; "
-                   "defaults to BENCH_tslp.json under --tslp)");
+  flags.add_string("out", "BENCH_sim.json", "output JSON path (empty = stdout)");
   flags.add_string("only", "", "run only the named benchmark (probe_fabric, "
                    "event_loop, campaign_six_vp)");
   flags.add_int("repeats", 3, "warm passes per micro-benchmark");
   flags.add_bool("metrics", false,
                  "collect observability registries during campaign_six_vp (the "
                  "reference numbers keep this off; check_bench gates the overhead)");
-  flags.add_bool("tslp", false,
-                 "run the TSLP statistics benchmark instead (scalar vs batch vs "
-                 "online detector engines; writes the BENCH_tslp.json record)");
-  flags.add_string("spec", "regional50",
-                   "--tslp corpus sizing preset (paper6, regional50, continent100)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
@@ -301,33 +304,6 @@ int cmd_bench(int argc, const char* const* argv) {
   if (flags.help_requested()) {
     std::cout << flags.help_text();
     return 0;
-  }
-  if (flags.get_bool("tslp")) {
-    analysis::TslpBenchOptions topt;
-    topt.smoke = flags.get_bool("smoke");
-    topt.spec = flags.get_string("spec");
-    topt.repeats = static_cast<int>(flags.get_int("repeats"));
-    analysis::TslpBenchReport report;
-    try {
-      report = analysis::run_tslp_benchmark(topt, &std::cerr);
-    } catch (const std::exception& e) {
-      std::cerr << "afixp bench --tslp: " << e.what() << "\n";
-      return 1;
-    }
-    auto out_path = flags.get_string("out");
-    if (out_path == "BENCH_sim.json") out_path = "BENCH_tslp.json";
-    if (out_path.empty()) {
-      analysis::write_tslp_bench_json(std::cout, report);
-      return report.equivalent ? 0 : 1;
-    }
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    analysis::write_tslp_bench_json(out, report);
-    std::cout << "bench record: " << out_path << "\n";
-    return report.equivalent ? 0 : 1;
   }
   analysis::BenchOptions opt;
   opt.smoke = flags.get_bool("smoke");
@@ -381,6 +357,8 @@ int cmd_chaos(int argc, const char* const* argv) {
     }
     return 0;
   }
+  const auto interval = round_interval_flag(flags);
+  if (!interval) return 2;
   std::string plan_name = flags.get_string("plan");
   if (plan_name.empty()) {
     plan_name = env::string_value("IXP_FAULT_PLAN").value_or("");
@@ -402,7 +380,7 @@ int cmd_chaos(int argc, const char* const* argv) {
                          : analysis::generate_substrate(
                                *topo::topo_spec_preset(plan->substrate));
   analysis::FleetOptions fopt;
-  fopt.campaign.round_interval = kMinute * flags.get_int("round-minutes");
+  fopt.campaign.round_interval = *interval;
   if (flags.get_int("days") > 0) {
     fopt.campaign.duration_override = kDay * flags.get_int("days");
   } else if (flags.get_bool("fast")) {
@@ -521,6 +499,8 @@ int cmd_serve(int argc, const char* const* argv) {
     std::cout << "\n" << kEnvHelp;
     return 0;
   }
+  const auto interval = round_interval_flag(flags);
+  if (!interval) return 2;
 
   serve::ServeOptions sopt;
   const std::string plan_name = flags.get_string("fault-plan");
@@ -560,7 +540,7 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   sopt.fault_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   sopt.rounds = static_cast<std::uint64_t>(flags.get_int("rounds"));
-  sopt.campaign.round_interval = kMinute * flags.get_int("round-minutes");
+  sopt.campaign.round_interval = *interval;
   if (flags.get_int("days") > 0) {
     sopt.campaign.duration_override = kDay * flags.get_int("days");
   } else if (flags.get_bool("fast")) {
@@ -638,6 +618,8 @@ int cmd_gen(int argc, const char* const* argv) {
     std::cout << flags.help_text() << "\n" << kEnvHelp;
     return 0;
   }
+  const auto interval = round_interval_flag(flags);
+  if (!interval) return 2;
   if (flags.get_bool("list-presets")) {
     for (const auto& name : topo::topo_spec_preset_names()) {
       const auto p = *topo::topo_spec_preset(name);
@@ -670,7 +652,7 @@ int cmd_gen(int argc, const char* const* argv) {
   if (flags.get_bool("bench")) {
     analysis::SubstrateBenchOptions bopt;
     bopt.jobs = static_cast<int>(flags.get_int("jobs"));
-    bopt.round_interval = kMinute * flags.get_int("round-minutes");
+    bopt.round_interval = *interval;
     const auto report = analysis::run_substrate_benchmark(*spec, bopt, &std::cerr);
     const auto out_path = flags.get_string("out");
     if (out_path.empty()) {
@@ -689,7 +671,6 @@ int cmd_gen(int argc, const char* const* argv) {
 
   const auto vps = analysis::generate_substrate(*spec);
   const auto summary = analysis::summarize_substrate(*spec, vps);
-  const Duration interval = kMinute * flags.get_int("round-minutes");
   std::cout << strformat(
       "%s: %d IXPs, %d members (%d silent, %d congested, %d noisy), "
       "%llu monitored links (%llu LAN + %llu ptp)\n",
@@ -700,13 +681,13 @@ int cmd_gen(int argc, const char* const* argv) {
       static_cast<unsigned long long>(summary.ptp_links));
   std::cout << strformat(
       "%d-day campaign at %lld-min rounds: ~%s samples (%s raw)\n", spec->days,
-      static_cast<long long>(interval.count() / kMinute.count()),
-      human_count(static_cast<double>(summary.samples(kDay * spec->days, interval))).c_str(),
-      human_bytes(static_cast<double>(summary.samples(kDay * spec->days, interval)) * 8).c_str());
+      static_cast<long long>(interval->count() / kMinute.count()),
+      human_count(static_cast<double>(summary.samples(kDay * spec->days, *interval))).c_str(),
+      human_bytes(static_cast<double>(summary.samples(kDay * spec->days, *interval)) * 8).c_str());
 
   analysis::FleetOptions fopt;
   fopt.jobs = static_cast<int>(flags.get_int("jobs"));
-  fopt.campaign.round_interval = interval;
+  fopt.campaign.round_interval = *interval;
   fopt.campaign.columnar = true;
   if (flags.get_bool("shard-plan") && !flags.get_bool("run")) {
     const int jobs = ThreadPool::resolve_jobs(fopt.jobs, vps.size());

@@ -29,13 +29,15 @@
 # the same benchmark set, and that field.
 #
 # When a bench_tslp binary is supplied, its smoke workload runs too: the
-# afixp-bench-tslp/1 record must carry all three engines (scalar, batch,
-# online) with positive rates, and -- non-negotiably -- equivalent=true:
-# the fast paths must be byte-identical to the legacy detector.  When a
-# source dir is also supplied, the committed reference BENCH_tslp.json is
-# checked as well: full regional50 workload, equivalent, and the batch
-# engine at >= 3x the scalar baseline.  The reference record is a committed
-# artifact, not a CI measurement, so asserting its speedup is safe.
+# afixp-bench-tslp/2 record must carry the three engines (scalar -- the
+# test-tree oracle --, fast -- the production classifier --, and online)
+# with positive rates, and -- non-negotiably -- equivalent=true: the
+# production detectors must be byte-identical to the oracle.  When a source
+# dir is also supplied, the committed reference BENCH_tslp.json is checked
+# as well: full regional50 workload, equivalent, the recording host's CPU
+# count, and the production classifier at >= 2x the scalar oracle.  The
+# reference record is a committed artifact, not a CI measurement, so
+# asserting its speedup is safe.
 #
 # When a bench_serve binary is supplied, its smoke workload runs too: the
 # afixp-bench-serve/1 record must carry the full field set docs/SERVING.md
@@ -217,7 +219,7 @@ with open(sys.argv[1]) as f:
 def fail(msg):
     sys.exit(f"check_bench: {msg}")
 
-if record.get("schema") != "afixp-bench-tslp/1":
+if record.get("schema") != "afixp-bench-tslp/2":
     fail(f"unexpected tslp schema tag {record.get('schema')!r}")
 if record.get("workload") != "smoke":
     fail(f"expected tslp workload 'smoke', got {record.get('workload')!r}")
@@ -225,19 +227,19 @@ engines = record.get("engines")
 if not isinstance(engines, list) or not engines:
     fail("'engines' must be a non-empty list")
 names = {e.get("name") for e in engines}
-if names != {"scalar", "batch", "online"}:
-    fail(f"engine set {sorted(names)} != ['batch', 'online', 'scalar']")
+if names != {"scalar", "fast", "online"}:
+    fail(f"engine set {sorted(names)} != ['fast', 'online', 'scalar']")
 for e in engines:
     for key in ("cold_series_per_sec", "warm_series_per_sec", "wall_seconds"):
         if key not in e:
             fail(f"engine {e.get('name')!r} lacks field {key!r}")
         if not (isinstance(e[key], (int, float)) and e[key] > 0):
             fail(f"engine {e.get('name')!r} has non-positive {key}: {e[key]!r}")
-# The non-negotiable bit, even at smoke size: the fast paths must have
-# produced byte-identical reports to the legacy detector on every link.
+# The non-negotiable bit, even at smoke size: the production detectors
+# must have produced byte-identical reports to the oracle on every link.
 if record.get("equivalent") is not True:
-    fail("tslp engines are not equivalent -- the fast path diverged "
-         "from the legacy detector")
+    fail("tslp engines are not equivalent -- a production detector "
+         "diverged from the scalar oracle")
 print("check_bench: tslp smoke OK")
 EOF
 [ $? -eq 0 ] || exit 1
@@ -311,7 +313,7 @@ with open(sys.argv[1]) as f:
 def fail(msg):
     sys.exit(f"check_bench: BENCH_tslp.json {msg}")
 
-if record.get("schema") != "afixp-bench-tslp/1":
+if record.get("schema") != "afixp-bench-tslp/2":
     fail(f"has unexpected schema tag {record.get('schema')!r}")
 if record.get("workload") != "full":
     fail(f"is not a full-workload record ({record.get('workload')!r})")
@@ -319,10 +321,13 @@ if record.get("spec") != "regional50":
     fail(f"was not measured on the regional50 substrate ({record.get('spec')!r})")
 if record.get("equivalent") is not True:
     fail("records non-equivalent engines")
-speedup = record.get("speedup_batch")
-if not (isinstance(speedup, (int, float)) and speedup >= 3.0):
-    fail(f"batch speedup {speedup!r} is below the 3.0x acceptance bar")
-print(f"check_bench: reference OK (batch {speedup}x over scalar)")
+host_cpus = record.get("host_cpus")
+if not (isinstance(host_cpus, int) and host_cpus > 0):
+    fail(f"has no positive host_cpus: {host_cpus!r}")
+speedup = record.get("speedup_fast")
+if not (isinstance(speedup, (int, float)) and speedup >= 2.0):
+    fail(f"fast speedup {speedup!r} is below the 2.0x acceptance bar")
+print(f"check_bench: reference OK (fast {speedup}x over scalar, host_cpus={host_cpus})")
 EOF
 [ $? -eq 0 ] || exit 1
 

@@ -1,11 +1,12 @@
 #!/bin/sh
 # CLI dispatch lint, run from CTest (see tools/CMakeLists.txt).
 #
-# The afixp front door must hold three properties: the top-level usage text
+# The afixp front door must hold four properties: the top-level usage text
 # enumerates every subcommand (the dispatch table is the single source, so
 # a new subcommand cannot be reachable-but-undocumented), unknown or
-# missing subcommands exit non-zero with usage on stderr, and every
-# subcommand answers --help with exit 0.
+# missing subcommands exit non-zero with usage on stderr, every subcommand
+# answers --help with exit 0, and bad flag values and retired flags are
+# usage errors (exit 2) before any work starts.
 #
 # usage: check_cli.sh <afixp_binary>
 set -u
@@ -19,7 +20,7 @@ err() {
     errors=$((errors + 1))
 }
 
-subcommands="campaign analyze tables casebook selftest bench chaos gen"
+subcommands="campaign analyze tables casebook selftest bench chaos gen serve"
 
 # --- 1. `afixp help` exits 0 and lists every subcommand -------------------
 help_out=$("$afixp" help 2>&1)
@@ -49,6 +50,22 @@ for c in $subcommands; do
     "$afixp" "$c" --help > /dev/null 2>&1 ||
         err "'afixp $c --help' exited non-zero"
 done
+
+# --- 4. Usage errors exit 2 ------------------------------------------------
+# A cadence below one minute is rejected by name: 0 would divide by zero
+# in the campaign, a negative value would run no rounds at all.  `bench
+# --tslp` is an unknown flag (bench/bench_tslp is the TSLP harness).
+usage_error() {
+    out=$("$afixp" "$@" 2>&1 >/dev/null)
+    rc=$?
+    [ "$rc" -eq 2 ] || err "'afixp $*' exited $rc, expected 2"
+}
+for m in 0 -5; do
+    usage_error campaign --vp 1 --days 2 --round-minutes "$m"
+    echo "$out" | grep -q -- "--round-minutes" ||
+        err "'afixp campaign --round-minutes $m' does not name the flag"
+done
+usage_error bench --tslp
 
 if [ "$errors" -gt 0 ]; then
     echo "check_cli: FAILED ($errors problem(s))" >&2

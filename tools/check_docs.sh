@@ -163,9 +163,9 @@ if [ -r "$scaling" ] && [ -r "$sub_record" ]; then
 fi
 
 # --- 9. BENCH_tslp.json fields: record <-> docs/ARCHITECTURE.md -----------
-# The committed record at the repo root is the reference TSLP-engine run;
+# The committed record at the repo root is the reference TSLP bench run;
 # the "TSLP fast path" section of ARCHITECTURE.md documents every field of
-# the afixp-bench-tslp/1 schema (including the nested engine-entry fields),
+# the afixp-bench-tslp/2 schema (including the nested engine-entry fields),
 # and documents no ghost fields.
 arch="$src/docs/ARCHITECTURE.md"
 tslp_record="$src/BENCH_tslp.json"
