@@ -5,13 +5,16 @@
 // buffer depth in time units, and the loss rate under saturation equals
 // the overflow fraction.  This bench sweeps both mappings end-to-end
 // through the full pipeline (scenario -> probing -> CUSUM detection), and
-// compares the analytic fast path against real event-driven packets on a
-// congested link.
+// compares the probe walk against the packet-level event engine
+// (tests/oracle/) on a congested link.
+#include <bit>
+#include <cmath>
 #include <iostream>
 
 #include "analysis/campaign.h"
 #include "analysis/scenario.h"
 #include "bench_common.h"
+#include "oracle/packet_engine.h"
 #include "prober/prober.h"
 #include "prober/tslp_driver.h"
 #include "tslp/classifier.h"
@@ -95,39 +98,50 @@ int main() {
                            loss.average_loss());
   }
 
-  std::cout << "\n[3] analytic fast path vs event-driven packets on a congested link\n";
+  std::cout << "\n[3] probe walk vs scheduled packets (the oracle) on a congested link\n";
   {
     const auto spec = sweep_spec(16.0, 1.08);
-    auto run = [&](bool event_mode) {
-      auto rt = analysis::build_scenario(spec);
-      prober::Prober prober(rt->topology.net(), rt->vp_host, 0.0);
-      std::vector<prober::MonitorTarget> targets;
-      for (const auto& t : rt->topology.interdomain_links_of(spec.vp_asn)) {
+    const TimePoint start(kHour * 10);
+    const TimePoint end(kHour * 18);
+    const Duration round = kMinute * 10;
+    auto hot_target = [&](const analysis::ScenarioRuntime& rt) {
+      for (const auto& t : rt.topology.interdomain_links_of(spec.vp_asn)) {
         if (t.far_asn == 64801) {
-          targets.push_back({"hot", t.near_ip, t.far_ip, t.near_asn, t.far_asn, t.at_ixp});
+          return prober::MonitorTarget{"hot", t.near_ip, t.far_ip, t.near_asn, t.far_asn,
+                                       t.at_ixp};
         }
       }
-      prober::TslpConfig cfg;
-      cfg.round_interval = kMinute * 10;
-      cfg.event_mode = event_mode;
-      prober::TslpDriver driver(prober, cfg);
-      return driver.run(targets, TimePoint(kHour * 10), TimePoint(kHour * 18));
+      return prober::MonitorTarget{};
     };
-    const auto fast = run(false);
-    const auto slow = run(true);
+
+    // The TSLP driver, walking its probes.
+    auto rt = analysis::build_scenario(spec);
+    prober::Prober walker(rt->topology.net(), rt->vp_host, 0.0);
+    prober::TslpConfig cfg;
+    cfg.round_interval = round;
+    prober::TslpDriver driver(walker, cfg);
+    const auto fast = driver.run({hot_target(*rt)}, start, end);
+
+    // Its rounds replayed as scheduled packets on a twin world.
+    auto twin = analysis::build_scenario(spec);
+    prober::Prober tracer(twin->topology.net(), twin->vp_host, 0.0);
+    const auto slow = oracle::replay_far_rounds(tracer, hot_target(*twin).far_ip, start, end,
+                                                round, cfg.max_ttl);
     double max_dev = 0;
-    int n = 0;
-    for (std::size_t i = 0; i < fast[0].far_rtt.ms.size(); ++i) {
+    int n = 0, identical = 0;
+    for (std::size_t i = 0; i < fast[0].far_rtt.ms.size() && i < slow.size(); ++i) {
       const double a = fast[0].far_rtt.ms[i];
-      const double b = slow[0].far_rtt.ms[i];
+      const double b = slow[i];
+      identical += std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ? 1 : 0;
       if (std::isnan(a) || std::isnan(b)) continue;
       max_dev = std::max(max_dev, std::fabs(a - b));
       ++n;
     }
     std::cout << strformat("  %d rounds compared through the afternoon peak; "
-                           "max |fast - event| = %.2f ms\n",
-                           n, max_dev);
-    std::cout << "  (both modes share the same fluid queues; differences are ICMP jitter draws)\n";
+                           "max |walk - packets| = %.2f ms; %d of %zu rounds bit-identical\n",
+                           n, max_dev, identical, slow.size());
+    std::cout << "  (same fluid queues and random streams; any re-learn by the driver "
+                 "would shift the replay)\n";
   }
   return 0;
 }

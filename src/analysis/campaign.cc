@@ -514,15 +514,13 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     result.outage_rounds = opt.faults->counters().outage_rounds;
   }
 
-  // Completion-time scrape: runtime internals (event loop, fluid queues,
-  // packet transport), detector outcomes, and the far-RTT distribution.
+  // Completion-time scrape: runtime internals (fluid queues, packet
+  // transport), detector outcomes, and the far-RTT distribution.
   // These are not re-published mid-run -- they are either cumulative
   // runtime totals or only meaningful once classification has run.
   if (opt.metrics != nullptr) {
     obs::Registry* reg = opt.metrics;
     const sim::Network& net = rt.topology.net();
-    reg->counter(metric::kSimEventsExecuted)->set(simulator.executed());
-    reg->counter(metric::kSimEventsScheduled)->set(simulator.scheduled());
     const sim::FluidQueue::Stats qs = net.queue_stats();
     reg->counter(metric::kQueueHeadroomSkips)->set(qs.headroom_skips);
     reg->counter(metric::kQueueIntegrationSteps)->set(qs.integration_steps);

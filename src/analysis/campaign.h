@@ -44,8 +44,6 @@ inline constexpr char kRelearns[] = "afixp_tslp_relearns_total";  ///< cause="st
 inline constexpr char kFaultEvents[] = "afixp_faults_events_total";
 inline constexpr char kProbesSuppressed[] = "afixp_faults_probes_suppressed_total";
 inline constexpr char kOutageRounds[] = "afixp_faults_outage_rounds_total";
-inline constexpr char kSimEventsExecuted[] = "afixp_sim_events_executed_total";
-inline constexpr char kSimEventsScheduled[] = "afixp_sim_events_scheduled_total";
 inline constexpr char kQueueHeadroomSkips[] = "afixp_queue_headroom_skips_total";
 inline constexpr char kQueueIntegrationSteps[] = "afixp_queue_integration_steps_total";
 inline constexpr char kQueueTailDrops[] = "afixp_queue_tail_drops_total";

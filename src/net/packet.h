@@ -43,11 +43,6 @@ struct Packet {
 
   TimePoint sent_at;  ///< simulator bookkeeping: when the probe left the VP
 
-  /// Transient L2 hint: the IP next hop chosen by the last router, used by
-  /// an IXP switch fabric to pick the egress port.  Not part of the wire
-  /// format (real networks carry this as the frame's destination MAC).
-  Ipv4Address l2_next_hop;
-
   /// For TimeExceeded/Unreachable replies: the original probe this quotes.
   std::uint16_t quoted_ident = 0;
   std::uint16_t quoted_seq = 0;

@@ -10,41 +10,20 @@ namespace ixp::prober {
 Prober::Prober(sim::Network& net, sim::NodeId vp_host, double pps_limit)
     : net_(&net), host_(vp_host), pps_limit_(pps_limit) {
   IXP_CHECK(net.node(vp_host).is_host(), "prober VP must be a Host node");
-  auto& host = static_cast<sim::Host&>(net.node(vp_host));
+  const auto& host = static_cast<const sim::Host&>(net.node(vp_host));
   src_ = host.address();
   // Derive a stable ICMP ident from the host id (multiple probers on the
   // same network keep distinct ident spaces).
   ident_ = static_cast<std::uint16_t>(0x8000u | (static_cast<unsigned>(vp_host) & 0x7fff));
-  host.set_rx_callback([this](const net::Packet& pkt, TimePoint at) {
-    // Match replies to outstanding event-mode probes.
-    std::uint16_t id = 0, seq = 0;
-    if (pkt.icmp_type == net::IcmpType::kEchoReply) {
-      id = pkt.ident;
-      seq = pkt.seq;
-    } else {
-      id = pkt.quoted_ident;
-      seq = pkt.quoted_seq;
-    }
-    if (id != ident_) return;
-    ProbeOutcome out;
-    out.answered = true;
-    out.responder = pkt.src;
-    out.responder_node = net_->find_owner(pkt.src);
-    out.reply_type = pkt.icmp_type;
-    out.rtt = at - pkt.sent_at;
-    out.ip_id = pkt.ip_id;
-    out.record_route = pkt.route_stamps;
-    mailbox_[{id, seq}] = std::move(out);
-  });
 }
 
 void Prober::rate_limit() {
   if (pps_limit_ <= 0) return;
   const TimePoint now = net_->simulator().now();
   if (next_slot_ < now) next_slot_ = now;
-  // Advance the simulated clock to the probe's emission slot.  In fast-path
-  // mode nothing else runs in between, so this is just bookkeeping that
-  // keeps the emission rate honest.
+  // Advance the simulated clock to the probe's emission slot.  Nothing runs
+  // in between, so this is just bookkeeping that keeps the emission rate
+  // honest.
   net_->simulator().advance_to(next_slot_);
   next_slot_ += seconds(1.0 / pps_limit_);
 }
@@ -69,8 +48,6 @@ ProbeOutcome Prober::send(net::Ipv4Address dst, const ProbeOptions& opts, sim::W
   pkt.seq = next_seq_++;
   pkt.sent_at = net_->simulator().now();
   ++probes_sent_;
-  if (opts.event_mode) return probe_event(pkt, opts);
-
   if (plan != nullptr && !net_->plan_current(*plan, host_, pkt)) {
     net_->resolve_plan(host_, pkt, *plan);
   }
@@ -84,20 +61,6 @@ ProbeOutcome Prober::send(net::Ipv4Address dst, const ProbeOptions& opts, sim::W
   out.ip_id = r.ip_id;
   out.record_route = std::move(r.record_route);
   if (out.answered) ++replies_;
-  return out;
-}
-
-ProbeOutcome Prober::probe_event(const net::Packet& pkt, const ProbeOptions& opts) {
-  auto& host = static_cast<sim::Host&>(net_->node(host_));
-  const auto key = std::make_pair(pkt.ident, pkt.seq);
-  mailbox_.erase(key);
-  host.send(*net_, pkt);
-  net_->simulator().run_until(pkt.sent_at + opts.timeout);
-  const auto it = mailbox_.find(key);
-  if (it == mailbox_.end()) return {};
-  ProbeOutcome out = std::move(it->second);
-  mailbox_.erase(it);
-  ++replies_;
   return out;
 }
 
@@ -214,25 +177,6 @@ std::vector<TraceHop> Prober::traceroute_doubletree(net::Ipv4Address dst,
     if (ttl > always_probe_first && !fresh) break;
   }
   return hops;
-}
-
-std::vector<net::Ipv4Address> Prober::reverse_hops(net::Ipv4Address dst) {
-  ProbeOptions o;
-  o.record_route = true;
-  const ProbeOutcome r = probe(dst, o);
-  std::vector<net::Ipv4Address> out;
-  if (!r.answered) return out;
-  const auto& s = r.record_route;
-  std::size_t pivot = s.size();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == dst || s[i] == r.responder) {
-      pivot = i;
-      break;
-    }
-  }
-  if (pivot == s.size()) return out;  // responder did not stamp
-  for (std::size_t i = pivot; i < s.size(); ++i) out.push_back(s[i]);
-  return out;
 }
 
 }  // namespace ixp::prober

@@ -8,19 +8,13 @@
 // plus a token-bucket rate limiter pinned at the paper's ethical probing
 // rate (small packets, 100 packets/second).
 //
-// Probes run in one of two modes:
-//   * fast path (default) -- the probe's route is resolved into a walk plan
-//     and executed analytically at the current simulated instant
-//     (sim::Network::probe); year-long campaigns are feasible this way.
-//     Callers that probe the same route over and over (the TSLP loop) hold
-//     the plan themselves, so the route is resolved again only when it
-//     changes.
-//   * event mode -- the probe is injected as a real packet and the
-//     simulator runs until the reply or a timeout; unit tests use this and
-//     an integration test pins fast-path equivalence.
+// Each probe's route is resolved into a walk plan and executed analytically
+// at the current simulated instant (sim::Network::probe), which makes
+// year-long campaigns feasible.  Callers that probe the same route over and
+// over (the TSLP loop) hold the plan themselves, so the route is resolved
+// again only when it changes.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -33,8 +27,6 @@ struct ProbeOptions {
   std::uint8_t ttl = 64;
   bool record_route = false;
   std::uint32_t size_bytes = 64;   ///< paper: small probe packets
-  Duration timeout = std::chrono::seconds(3);
-  bool event_mode = false;
 };
 
 struct ProbeOutcome {
@@ -65,7 +57,7 @@ class Prober {
   /// The same probe over a caller-held walk plan: `plan` is resolved again
   /// only when it was resolved for another probe or a node on its route
   /// changed its routes, so repeated probes of one route skip the routing
-  /// walk.  Event-mode probes leave it untouched.
+  /// walk.
   ProbeOutcome probe(net::Ipv4Address dst, const ProbeOptions& opts, sim::WalkPlan& plan);
 
   /// Classic traceroute: increasing TTL until `dst` answers, max_ttl is
@@ -82,12 +74,6 @@ class Prober {
   /// and reports whether the forward stamps are mirrored on the return
   /// (true = route symmetric as far as the RR slots can see).
   std::optional<bool> record_route_symmetric(net::Ipv4Address dst);
-
-  /// Reverse-path inference via record-route (the Reverse Traceroute idea
-  /// the paper cites [24]): the RR stamps after the responder's own stamp
-  /// are the egress interfaces of the routers the reply crossed, in order.
-  /// Empty when the responder never stamped (option exhausted en route).
-  std::vector<net::Ipv4Address> reverse_hops(net::Ipv4Address dst);
 
   /// Doubletree-style traceroute for large sweeps (Donnet et al.; scamper
   /// implements the same idea for bdrmap's prefix sweeps): hops already in
@@ -109,7 +95,6 @@ class Prober {
 
  private:
   ProbeOutcome send(net::Ipv4Address dst, const ProbeOptions& opts, sim::WalkPlan* plan);
-  ProbeOutcome probe_event(const net::Packet& pkt, const ProbeOptions& opts);
   void rate_limit();
 
   sim::Network* net_;
@@ -121,8 +106,6 @@ class Prober {
   TimePoint next_slot_{};
   std::uint64_t probes_sent_ = 0;
   std::uint64_t replies_ = 0;
-  // Event-mode reply mailbox keyed by (ident, seq).
-  std::map<std::pair<std::uint16_t, std::uint16_t>, ProbeOutcome> mailbox_;
 };
 
 }  // namespace ixp::prober

@@ -105,7 +105,6 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
         } else {
           ProbeOptions fo;
           fo.ttl = static_cast<std::uint8_t>(s.far_ttl);
-          fo.event_mode = cfg_.event_mode;
           const ProbeOutcome far = prober_->probe(s.target.far_ip, fo, s.far_plan);
           if (!far.answered) ++probes_lost_;
           if (far.answered) {
@@ -125,7 +124,6 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
         } else {
           ProbeOptions no;
           no.ttl = static_cast<std::uint8_t>(s.far_ttl - 1);
-          no.event_mode = cfg_.event_mode;
           const ProbeOutcome near = prober_->probe(s.target.far_ip, no, s.near_plan);
           if (!near.answered) ++probes_lost_;
           if (near.answered) {

@@ -43,9 +43,6 @@ struct TslpConfig {
   /// Invoked at the start of every round with the round's time; campaign
   /// drivers hook world-timeline application here.
   std::function<void(TimePoint)> pre_round;
-  /// Probe with real scheduled packets instead of the analytic fast path.
-  /// Slow; used by the equivalence validation tests.
-  bool event_mode = false;
   /// Every N rounds, send one record-route probe per target (the paper's
   /// path-symmetry campaign; Table 2 reports the totals).  0 disables.
   int rr_every_rounds = 0;

@@ -47,7 +47,7 @@ int Network::connect(NodeId a, net::Ipv4Address addr_a, NodeId b, net::Ipv4Addre
   if (!addr_b.is_unspecified()) addr_owner_[addr_b] = b;
   // If either endpoint is a switch fabric, teach it the far address and the
   // node behind it: the learned table is the single O(1) port resolution
-  // used by both the event-driven and the analytic forwarding paths.
+  // the walk crosses a fabric with.
   if (node(a).is_switch() && !addr_b.is_unspecified()) {
     static_cast<L2Switch&>(node(a)).learn(addr_b, if_a, b);
   }
@@ -62,30 +62,6 @@ NodeId Network::find_owner(net::Ipv4Address addr) const {
   return it == addr_owner_.end() ? kInvalidNode : it->second;
 }
 
-void Network::transmit(NodeId from, int ifindex, net::Packet pkt, net::Ipv4Address next_hop) {
-  Node& sender = node(from);
-  if (ifindex < 0 || ifindex >= static_cast<int>(sender.interfaces().size())) {
-    ++packets_dropped;
-    return;
-  }
-  const Interface& ifc = sender.interfaces()[static_cast<std::size_t>(ifindex)];
-  DuplexLink& l = link(ifc.link_id);
-  TimePoint t = sim_.now();
-  if (!cross_link(l, from, pkt.size_bytes, t)) return;  // drop already counted
-  pkt.l2_next_hop = next_hop;
-  const NodeId peer = l.other(from);
-  const int peer_if = l.ifindex_at(peer);
-  sim_.schedule_at(t, [this, peer, peer_if, pkt = std::move(pkt)]() mutable {
-    node(peer).receive(*this, std::move(pkt), peer_if);
-  });
-}
-
-void Network::deliver(NodeId to, net::Packet pkt, int in_ifindex, Duration delay) {
-  sim_.schedule(delay, [this, to, in_ifindex, pkt = std::move(pkt)]() mutable {
-    node(to).receive(*this, std::move(pkt), in_ifindex);
-  });
-}
-
 std::optional<Network::HopDecision> Network::route_at(NodeId at, net::Ipv4Address dst) const {
   const Node& n = node(at);
   switch (n.kind()) {
@@ -95,8 +71,8 @@ std::optional<Network::HopDecision> Network::route_at(NodeId at, net::Ipv4Addres
       return HopDecision{e->ifindex, e->next_hop.is_unspecified() ? dst : e->next_hop};
     }
     case NodeKind::kHost:
-      // Hosts send everything via interface 0; on-subnet destinations are
-      // reached directly, everything else via the configured gateway.
+      // Hosts send everything out of interface 0, toward the destination
+      // itself: their one link is point to point.
       if (n.interfaces().empty()) return std::nullopt;
       return HopDecision{0, dst};
     case NodeKind::kSwitch:
@@ -118,7 +94,7 @@ bool Network::cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, T
   }
   // Delays are evaluated at the crossing instant `t`: a scheduled delay
   // step (link.h) taking effect later never rewrites this packet's
-  // traversal, in either execution mode.
+  // traversal.
   const Duration delay = q.queuing_delay(t) + q.transmission_delay(size_bytes) +
                          l.prop_delay_at(t) + l.extra_delay_from(from, t);
   if (!q.enqueue(t, size_bytes) && q.offered_bps(t) <= q.config().capacity_bps) {
@@ -136,9 +112,10 @@ bool Network::cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, T
 
 Network::LegEnd Network::resolve_leg(WalkPlan& plan, std::vector<PlanCrossing>& out,
                                      NodeId start, net::Ipv4Address dst, std::uint8_t ttl,
-                                     net::Ipv4Address l2_next_hop, bool reply) {
+                                     bool reply) {
   NodeId cur = start;
   net::Ipv4Address in_addr;
+  net::Ipv4Address l2_next_hop;  // the last router's IP next hop: a fabric's port key
   for (int budget = 0; budget < kWalkBudget; ++budget) {
     const Node& n = node(cur);
     const bool at_start = cur == start;
@@ -196,7 +173,6 @@ std::pair<NodeId, NodeId> Network::resolve(NodeId from, const net::Packet& pkt, 
   plan.dst = pkt.dst;
   plan.ttl = pkt.ttl;
   plan.record_route = pkt.record_route;
-  plan.l2_next_hop = pkt.l2_next_hop;
   plan.forward.clear();
   plan.reverse.clear();
   plan.consulted.clear();
@@ -208,8 +184,7 @@ std::pair<NodeId, NodeId> Network::resolve(NodeId from, const net::Packet& pkt, 
   plan.reply_src = {};
   plan.reverse_arrives = false;
 
-  const LegEnd fwd =
-      resolve_leg(plan, plan.forward, from, pkt.dst, pkt.ttl, pkt.l2_next_hop, /*reply=*/false);
+  const LegEnd fwd = resolve_leg(plan, plan.forward, from, pkt.dst, pkt.ttl, /*reply=*/false);
   if (fwd.stop == LegStop::kDropped) return {fwd.node, kInvalidNode};
   Node& n = node(fwd.node);
   if (fwd.stop == LegStop::kArrived) {
@@ -222,7 +197,7 @@ std::pair<NodeId, NodeId> Network::resolve(NodeId from, const net::Packet& pkt, 
   plan.end_rr_gate = fwd.rr_gate;
   if (n.is_router()) plan.responder = static_cast<Router*>(&n);
   plan.responder_node = fwd.node;
-  const LegEnd rev = resolve_leg(plan, plan.reverse, fwd.node, pkt.src, /*ttl=*/64, {},
+  const LegEnd rev = resolve_leg(plan, plan.reverse, fwd.node, pkt.src, /*ttl=*/64,
                                  /*reply=*/true);
   plan.reverse_arrives = rev.stop == LegStop::kArrived;
   return {fwd.node, rev.node};
@@ -249,8 +224,8 @@ void Network::resolve_plan(NodeId from, const net::Packet& pkt, WalkPlan& plan) 
 
 bool Network::plan_current(const WalkPlan& plan, NodeId from, const net::Packet& pkt) const {
   if (plan.from != from || plan.dst != pkt.dst || plan.src != pkt.src || plan.ttl != pkt.ttl ||
-      plan.record_route != pkt.record_route || plan.l2_next_hop != pkt.l2_next_hop ||
-      !pkt.route_stamps.empty() || plan.consulted.empty()) {
+      plan.record_route != pkt.record_route || !pkt.route_stamps.empty() ||
+      plan.consulted.empty()) {
     return false;
   }
   for (const auto& [n, version] : plan.consulted) {
@@ -285,7 +260,7 @@ ProbeResult Network::probe(const WalkPlan& plan, const net::Packet& pkt) {
       res.forward_dropped = true;
       return res;
     case WalkEnd::kEchoHost:
-      t += std::chrono::microseconds(50);
+      t += kHostReplyDelay;
       break;
     case WalkEnd::kEchoRouter:
     case WalkEnd::kTimeExceeded: {
@@ -301,10 +276,10 @@ ProbeResult Network::probe(const WalkPlan& plan, const net::Packet& pkt) {
   }
   ++icmp_generated;
 
-  // The reply's crossings back to the probing host (56-byte ICMP message).
+  // The reply's crossings back to the probing host.
   for (const PlanCrossing& c : plan.reverse) {
     if (c.delay_at != nullptr) t += c.delay_at->config().forward_delay;
-    if (!cross_link(*c.link, c.from, 56, t)) {
+    if (!cross_link(*c.link, c.from, kIcmpReplyBytes, t)) {
       res.reverse_dropped = true;
       return res;
     }

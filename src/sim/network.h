@@ -1,22 +1,20 @@
-// The simulated network: nodes, links, and packet transport.
+// The simulated network: nodes, links, and probe transport.
 //
-// Two execution modes share the same queues and topology:
+// A probe is split into route resolution and timing execution.
+// resolve_plan() walks the topology once (FIBs, L2 tables, interface
+// ownership, TTL) and records the route as a WalkPlan: the forward
+// crossings, how the forward leg ends, and the reverse crossings.
+// probe(plan, pkt) then executes those crossings through cross_link() at
+// the clock's current instant, reading everything that varies over time
+// live: link up/down, queue state and delay steps, forward_delay,
+// icmp_disabled, rr_filtered, the ICMP rate limit, IP-ID and ICMP
+// generation delay.  Year-long TSLP campaigns keep one plan per probed
+// route and resolve it again only when it goes stale; one-off probes
+// (traceroute, bdrmap, record-route) resolve into one reused scratch plan.
 //
-//  * Event mode -- packets are scheduled hop by hop through the Simulator.
-//    Used by unit tests, examples, and conformance checks; it is the
-//    semantic oracle the fast path is tested against.
-//  * Fast path -- a probe is split into route resolution and timing
-//    execution.  resolve_plan() walks the topology once (FIBs, L2 tables,
-//    interface ownership, TTL) and records the route as a WalkPlan: the
-//    forward crossings, how the forward leg ends, and the reverse
-//    crossings.  probe(plan, pkt) then replays those crossings through the
-//    same cross_link() event mode uses, in the same order and with the same
-//    RNG draws, reading everything that varies over time live: link
-//    up/down, queue state and delay steps, forward_delay, icmp_disabled,
-//    rr_filtered, the ICMP rate limit, IP-ID and ICMP generation delay.
-//    Year-long TSLP campaigns keep one plan per probed route and resolve it
-//    again only when it goes stale; one-off probes (traceroute, bdrmap,
-//    record-route) resolve into one reused scratch plan.
+// This walk is the only transport.  A packet-level event engine that drives
+// the same nodes and cross_link() from outside lives in tests/oracle/; the
+// test suite holds it to the walk bit for bit.
 //
 // Invalidation: every node carries a route_version() that Router::add_route
 // and clear_fib, L2Switch::learn and forget, and Node::add_interface bump.
@@ -33,19 +31,26 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "sim/event.h"
+#include "sim/clock.h"
 #include "sim/node.h"
 #include "util/rng.h"
 
 namespace ixp::sim {
 
-/// Maximum hops a fast-path walk will take before declaring a loop.  Well
-/// above any real path length (probes start with ttl <= 64; replies also
-/// start at 64), so reverse-path TTL expiry is observable before the walk
-/// budget runs out.
+/// Maximum hops a walk will take before declaring a loop.  Well above any
+/// real path length (probes start with ttl <= 64; replies also start at
+/// 64), so reverse-path TTL expiry is observable before the walk budget
+/// runs out.
 inline constexpr int kWalkBudget = 255;
 
-/// Result of a fast-path probe.
+/// Time a host takes to answer an echo request addressed to it.
+inline constexpr Duration kHostReplyDelay = std::chrono::microseconds(50);
+
+/// Size of every ICMP reply (IP + ICMP + quoted header), echo replies
+/// included: a reply books these bytes into each queue it crosses.
+inline constexpr std::uint32_t kIcmpReplyBytes = 56;
+
+/// Result of a probe.
 struct ProbeResult {
   bool answered = false;
   net::Ipv4Address responder;      ///< source of the reply
@@ -84,7 +89,6 @@ struct WalkPlan {
   net::Ipv4Address dst;
   std::uint8_t ttl = 0;
   bool record_route = false;
-  net::Ipv4Address l2_next_hop;
 
   std::vector<PlanCrossing> forward;
   const Router* end_rr_gate = nullptr;  ///< checked on arrival at the responder
@@ -135,17 +139,7 @@ class Network {
   Rng& rng() { return rng_; }
   void seed(std::uint64_t s) { rng_ = Rng(s); }
 
-  // ---- Event-mode transport ----------------------------------------------
-
-  /// Emits `pkt` from `from` out of `ifindex`; `next_hop` picks the L2 port
-  /// on a switch fabric (use the packet dst for directly-connected sends).
-  /// Queue overflow and tail drops are counted in packets_dropped.
-  void transmit(NodeId from, int ifindex, net::Packet pkt, net::Ipv4Address next_hop);
-
-  /// Delivers `pkt` to a node after `delay` (loopback / self-ping).
-  void deliver(NodeId to, net::Packet pkt, int in_ifindex, Duration delay);
-
-  // ---- Fast path -----------------------------------------------------------
+  // ---- Probe transport -----------------------------------------------------
 
   /// Resolves the route `pkt` takes from node `from` into `plan` (reusing
   /// its buffers): forward crossings until delivery, TTL expiry or a drop,
@@ -167,12 +161,18 @@ class Network {
   /// One-off probe: resolves into a reused scratch plan and executes it.
   ProbeResult probe(NodeId from, const net::Packet& pkt);
 
+  /// One link traversal, starting at `t`: decides drops, advances `t` past
+  /// the queue and the link, and books `size_bytes` into the backlog.
+  /// Returns false when the packet is dropped (the drop is already counted
+  /// in packets_dropped).
+  bool cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, TimePoint& t);
+
   // ---- Statistics -----------------------------------------------------------
 
-  std::uint64_t packets_forwarded = 0;
+  std::uint64_t packets_forwarded = 0;  ///< nothing counts it: always 0
   std::uint64_t packets_dropped = 0;
   std::uint64_t icmp_generated = 0;
-  std::uint64_t hops_walked = 0;  ///< link crossings, event-mode and analytic
+  std::uint64_t hops_walked = 0;  ///< link crossings
   std::uint64_t plans_resolved = 0;  ///< plans resolved, one-off probes included
 
   /// Sum of FluidQueue::Stats over every queue (both directions of every
@@ -180,19 +180,13 @@ class Network {
   [[nodiscard]] FluidQueue::Stats queue_stats() const;
 
  private:
-  /// Fast-path hop decision shared with event mode: where does `pkt` go
-  /// from `at` given FIBs; returns false if unroutable.
+  /// Where a packet goes from `at` toward `dst` given FIBs; nullopt if
+  /// unroutable.
   struct HopDecision {
     int ifindex = -1;
     net::Ipv4Address next_hop;
   };
   std::optional<HopDecision> route_at(NodeId at, net::Ipv4Address dst) const;
-
-  /// One link traversal shared by event mode (transmit) and the analytic
-  /// walks: decides drops, advances `t` past the queue, and books the probe
-  /// bytes into the backlog.  Returns false when the packet is dropped (the
-  /// drop is already counted in packets_dropped).
-  bool cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, TimePoint& t);
 
   /// Where one resolved leg stopped.
   enum class LegStop : std::uint8_t { kDropped, kArrived, kTtlExpired };
@@ -209,8 +203,7 @@ class Network {
   /// dropped.  A reply (`reply`) is checked for arrival at `start` too and
   /// charges no forwarding latency there.
   LegEnd resolve_leg(WalkPlan& plan, std::vector<PlanCrossing>& out, NodeId start,
-                     net::Ipv4Address dst, std::uint8_t ttl, net::Ipv4Address l2_next_hop,
-                     bool reply);
+                     net::Ipv4Address dst, std::uint8_t ttl, bool reply);
 
   /// resolve_plan() without recording route versions (the one-off probe's
   /// plan is never reused).  Returns the nodes where the forward and the

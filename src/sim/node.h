@@ -1,10 +1,11 @@
 // Simulated nodes: routers, hosts, and L2 switch fabrics.
 //
-// Routers implement the IP behaviours TSLP depends on: TTL decrement, ICMP
-// TIME_EXCEEDED generation from the *inbound* interface address (this is
-// what makes the near/far ends of an interdomain link observable), ICMP
-// rate limiting, a configurable slow-ICMP control-plane model, and IPv4
-// record-route stamping.
+// Nodes hold the state the probe walk (sim/network.h) reads.  Routers carry
+// the FIB and the knobs behind the IP behaviours TSLP depends on: TTL
+// decrement, ICMP TIME_EXCEEDED generation from the *inbound* interface
+// address (this is what makes the near/far ends of an interdomain link
+// observable), ICMP rate limiting, a configurable slow-ICMP control-plane
+// model, and IPv4 record-route stamping.
 //
 // The L2Switch models an IXP switching fabric: frames cross it without a
 // TTL decrement and the fabric itself is invisible at the IP layer, so a
@@ -12,20 +13,16 @@
 // the peer's router -- exactly how IXP LANs appear in real traces.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "net/packet.h"
+#include "net/ipv4.h"
 #include "net/prefix_map.h"
 #include "sim/link.h"
 #include "util/rng.h"
 
 namespace ixp::sim {
-
-class Network;
 
 /// An attachment point of a node to a link.
 struct Interface {
@@ -49,8 +46,6 @@ class Node {
  public:
   Node(NodeKind kind, std::string name) : name_(std::move(name)), kind_(kind) {}
   virtual ~Node() = default;
-
-  virtual void receive(Network& net, net::Packet pkt, int in_ifindex) = 0;
 
   [[nodiscard]] NodeKind kind() const { return kind_; }
   [[nodiscard]] bool is_host() const { return kind_ == NodeKind::kHost; }
@@ -121,8 +116,6 @@ class Router final : public Node {
   Router(std::string name, RouterConfig cfg, Rng rng)
       : Node(NodeKind::kRouter, std::move(name)), cfg_(std::move(cfg)), rng_(rng) {}
 
-  void receive(Network& net, net::Packet pkt, int in_ifindex) override;
-
   [[nodiscard]] std::uint32_t asn() const { return cfg_.owner_asn; }
   [[nodiscard]] const RouterConfig& config() const { return cfg_; }
   RouterConfig& mutable_config() { return cfg_; }
@@ -168,10 +161,6 @@ class Router final : public Node {
   std::uint16_t next_ip_id() { return ip_id_counter_++; }
 
  private:
-  void forward(Network& net, net::Packet pkt);
-  void emit_icmp(Network& net, const net::Packet& cause, net::IcmpType type, net::Ipv4Address from,
-                 int in_ifindex);
-
   RouterConfig cfg_;
   net::PrefixMap<FibEntry> fib_;
   /// dst -> trie entry; pointers stay valid because any mutation clears it.
@@ -187,52 +176,31 @@ class Router final : public Node {
   TimePoint icmp_tokens_at_{};
 };
 
-/// End host: answers echo requests; a designated callback receives every
-/// packet delivered to the host (the prober's receive path).
+/// End host: a probing vantage point or a probed endpoint.  The walk sends a
+/// host's packets out of interface 0 and answers echo requests addressed to
+/// it after kHostReplyDelay (sim/network.h).
 class Host final : public Node {
  public:
-  using RxCallback = std::function<void(const net::Packet&, TimePoint)>;
+  explicit Host(std::string name) : Node(NodeKind::kHost, std::move(name)) {}
 
-  Host(std::string name, Duration reply_delay = std::chrono::microseconds(50))
-      : Node(NodeKind::kHost, std::move(name)), reply_delay_(reply_delay) {}
-
-  void receive(Network& net, net::Packet pkt, int in_ifindex) override;
-
-  void set_rx_callback(RxCallback cb) { rx_ = std::move(cb); }
-  void set_gateway(int ifindex, net::Ipv4Address gw) {
-    gw_ifindex_ = ifindex;
-    gateway_ = gw;
-  }
-  [[nodiscard]] net::Ipv4Address gateway() const { return gateway_; }
-
-  /// Emits a locally-originated packet (event mode).
-  void send(Network& net, net::Packet pkt);
   [[nodiscard]] net::Ipv4Address address() const {
     return interfaces_.empty() ? net::Ipv4Address() : interfaces_[0].addr;
   }
-
- private:
-  Duration reply_delay_;
-  RxCallback rx_;
-  int gw_ifindex_ = 0;
-  net::Ipv4Address gateway_;
 };
 
 /// Resolved L2 port: which switch ifindex reaches an address, and the node
-/// on the far side of that port.  Filled in by Network::connect() so both
-/// the event-driven and analytic paths share one O(1) lookup.
+/// on the far side of that port.  Filled in by Network::connect(), so route
+/// resolution crosses a fabric with one O(1) lookup.
 struct L2Port {
   int ifindex = -1;
   NodeId peer = kInvalidNode;
 };
 
-/// IXP switching fabric: forwards by next-hop IP without touching TTL.
+/// IXP switching fabric: forwards by next-hop IP without touching TTL, and
+/// adds no latency of its own (the crossing is the member ports' links).
 class L2Switch final : public Node {
  public:
-  explicit L2Switch(std::string name, Duration latency = std::chrono::microseconds(5))
-      : Node(NodeKind::kSwitch, std::move(name)), latency_(latency) {}
-
-  void receive(Network& net, net::Packet pkt, int in_ifindex) override;
+  explicit L2Switch(std::string name) : Node(NodeKind::kSwitch, std::move(name)) {}
 
   /// Registers which port (ifindex on the switch) reaches `addr`, and who
   /// sits behind it.
@@ -260,7 +228,6 @@ class L2Switch final : public Node {
   }
 
  private:
-  Duration latency_;
   std::unordered_map<net::Ipv4Address, L2Port> table_;
   mutable net::Ipv4Address last_key_;
   mutable const L2Port* last_port_ = nullptr;

@@ -89,7 +89,6 @@ sim::NodeId Topology::add_host(Asn asn, const std::string& tag, net::Ipv4Address
   // Gateway side uses the subnet's first address.
   const net::Ipv4Address gw = subnet.at(1) == addr ? subnet.at(2) : subnet.at(1);
   net_.connect(h.id(), addr, router, gw, lan, subnet);
-  h.set_gateway(0, gw);
   router_owner_[h.id()] = asn;
   return h.id();
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -8,6 +9,7 @@
 #include "prober/prober.h"
 #include "prober/tslp_driver.h"
 #include "bdrmap/bdrmap.h"
+#include "oracle/packet_engine.h"
 #include "prober/warts_lite.h"
 #include "registry/registry.h"
 #include "util/rng.h"
@@ -62,6 +64,22 @@ struct ProberWorld {
     }
     return {};
   }
+
+  /// The packet oracle's twin of `walked`'s last Prober::probe: the same
+  /// probe packet, moved as scheduled packets through this identically
+  /// built world at the instant the prober sent it.
+  sim::ProbeResult oracle_probe(const ProberWorld& walked, net::Ipv4Address dst,
+                                const ProbeOptions& o) {
+    sim::Network& net = rt->topology.net();
+    net.simulator().advance_to(walked.rt->topology.net().simulator().now());
+    net::Packet pkt;
+    pkt.src = prober->source_address();
+    pkt.dst = dst;
+    pkt.ttl = o.ttl;
+    pkt.record_route = o.record_route;
+    pkt.size_bytes = o.size_bytes;
+    return oracle::PacketEngine(net).probe(rt->vp_host, pkt);
+  }
 };
 
 TEST(Prober, PingMemberLanAddress) {
@@ -111,33 +129,30 @@ TEST(Prober, TtlLimitedProbesHitNearAndFar) {
 }
 
 TEST(Prober, EventModeAgreesWithFastPath) {
+  // Twin worlds: one probes through the Prober (walk plans), the other
+  // moves the same probes as scheduled packets at the same instants.
   ProberWorld w;
+  ProberWorld twin;
   const auto target = w.member_lan("MEMA", 65001);
   const auto fast = w.prober->probe(target);
-  ProbeOptions ev;
-  ev.event_mode = true;
-  const auto slow = w.prober->probe(target, ev);
   ASSERT_TRUE(fast.answered);
-  ASSERT_TRUE(slow.answered);
-  EXPECT_EQ(fast.responder, slow.responder);
-  EXPECT_NEAR(to_ms(fast.rtt), to_ms(slow.rtt), 2.0);
+  EXPECT_EQ(oracle::mismatch(fast, twin.oracle_probe(w, target, {})), "");
 
-  // A held plan, resolved once and replayed, lands where event mode's
-  // scheduled packet lands, TTL-limited or not.
+  // A held plan, resolved once and replayed, lands where the scheduled
+  // packets land, TTL-limited or not, with or without record-route.
   sim::WalkPlan plan;
   for (const std::uint8_t ttl : {1, 2, 64}) {
-    ProbeOptions o;
-    o.ttl = ttl;
-    const auto held = w.prober->probe(target, o, plan);
-    const auto again = w.prober->probe(target, o, plan);
-    o.event_mode = true;
-    const auto sched = w.prober->probe(target, o);
-    ASSERT_TRUE(held.answered && again.answered && sched.answered) << int(ttl);
-    EXPECT_EQ(held.responder, sched.responder);
-    EXPECT_EQ(again.responder, sched.responder);
-    EXPECT_EQ(held.responder_node, sched.responder_node);
-    EXPECT_EQ(held.reply_type, sched.reply_type);
-    EXPECT_NEAR(to_ms(held.rtt), to_ms(sched.rtt), 2.0);
+    for (const bool rr : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "ttl " << int(ttl) << " rr " << rr);
+      ProbeOptions o;
+      o.ttl = ttl;
+      o.record_route = rr;
+      const auto held = w.prober->probe(target, o, plan);
+      ASSERT_TRUE(held.answered);
+      EXPECT_EQ(oracle::mismatch(held, twin.oracle_probe(w, target, o)), "");
+      const auto again = w.prober->probe(target, o, plan);
+      EXPECT_EQ(oracle::mismatch(again, twin.oracle_probe(w, target, o)), "");
+    }
   }
 }
 
@@ -272,19 +287,10 @@ TEST(TslpDriver, RouteChangeRelearnsOnTheRoundItLands) {
   EXPECT_TRUE(std::isnan(ls.far_rtt.ms[10]));
 }
 
-TEST(Prober, ReverseHopsMirrorForwardPath) {
-  ProberWorld w;
-  const auto target = w.member_lan("MEMA", 65001);
-  const auto rev = w.prober->reverse_hops(target);
-  // The reply crosses the member router (stamping its LAN egress == the
-  // target itself) and the VP border router.
-  ASSERT_GE(rev.size(), 2u);
-  EXPECT_EQ(rev.front(), target);
-}
-
 TEST(TslpDriver, EventModeMatchesFastPathUnderCongestion) {
   // A congested member port: the fluid queue's delay must appear the same
-  // whether probes are walked analytically or scheduled as packets.
+  // whether the driver walks its probes or the rounds are replayed as
+  // scheduled packets through the oracle.
   auto spec = tiny_spec();
   analysis::CongestionSpec c;
   c.a_w_ms = 16.0;
@@ -295,38 +301,41 @@ TEST(TslpDriver, EventModeMatchesFastPathUnderCongestion) {
   c.end = analysis::kForever;
   spec.neighbors[0].congestion = {c};
   spec.neighbors[0].port_capacity_bps = 100e6;
+  const TimePoint start(kHour);
+  const TimePoint end(kHour * 3);
+  const Duration round = kMinute * 10;
 
-  auto run = [&](bool event_mode) {
-    auto rt = analysis::build_scenario(spec);
-    Prober prober(rt->topology.net(), rt->vp_host, 0.0);
-    const auto truth = rt->topology.interdomain_links_of(30997);
-    std::vector<MonitorTarget> targets;
-    for (const auto& t : truth) {
-      if (t.far_asn == 65001) {
-        targets.push_back({"hot", t.near_ip, t.far_ip, t.near_asn, t.far_asn, t.at_ixp});
-      }
+  auto hot_target = [](const analysis::ScenarioRuntime& rt) {
+    for (const auto& t : rt.topology.interdomain_links_of(30997)) {
+      if (t.far_asn == 65001) return MonitorTarget{"hot", t.near_ip, t.far_ip, t.near_asn,
+                                                   t.far_asn, t.at_ixp};
     }
-    TslpConfig cfg;
-    cfg.round_interval = kMinute * 10;
-    cfg.event_mode = event_mode;
-    TslpDriver driver(prober, cfg);
-    return driver.run(targets, TimePoint(kHour), TimePoint(kHour * 3));
+    return MonitorTarget{};
   };
 
-  const auto fast = run(false);
-  const auto slow = run(true);
+  auto rt = analysis::build_scenario(spec);
+  Prober prober(rt->topology.net(), rt->vp_host, 0.0);
+  TslpConfig cfg;
+  cfg.round_interval = round;
+  TslpDriver driver(prober, cfg);
+  const auto fast = driver.run({hot_target(*rt)}, start, end);
   ASSERT_EQ(fast.size(), 1u);
-  ASSERT_EQ(slow.size(), 1u);
-  ASSERT_EQ(fast[0].far_rtt.ms.size(), slow[0].far_rtt.ms.size());
-  int compared = 0;
-  for (std::size_t i = 0; i < fast[0].far_rtt.ms.size(); ++i) {
-    const double a = fast[0].far_rtt.ms[i];
-    const double b = slow[0].far_rtt.ms[i];
-    if (std::isnan(a) || std::isnan(b)) continue;  // stochastic drops differ
-    EXPECT_NEAR(a, b, 3.0) << "round " << i;
-    ++compared;
+
+  // The replay sends the driver's probes in the driver's order.  The
+  // driver re-learns nothing here (a re-learn would add traceroutes the
+  // replay does not send), so both sides draw the same random numbers and
+  // the series agree bit for bit, drops included.
+  EXPECT_EQ(driver.loss_relearns() + driver.stale_relearns(), 0u);
+  auto twin = analysis::build_scenario(spec);
+  Prober tracer(twin->topology.net(), twin->vp_host, 0.0);
+  const auto slow =
+      oracle::replay_far_rounds(tracer, hot_target(*twin).far_ip, start, end, round, cfg.max_ttl);
+  ASSERT_EQ(fast[0].far_rtt.ms.size(), slow.size());
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[0].far_rtt.ms[i]),
+              std::bit_cast<std::uint64_t>(slow[i]))
+        << "round " << i;
   }
-  EXPECT_GE(compared, 8);
   // Both must clearly show the standing queue.
   EXPECT_GT(*std::max_element(fast[0].far_rtt.ms.begin(), fast[0].far_rtt.ms.end()), 14.0);
 }
@@ -617,26 +626,25 @@ TEST(WartsLiteFuzz, EverySingleByteCorruptionParsesCleanly) {
   }
 }
 
-// Property sweep: fast-path and event-mode probing agree for every
-// monitored link of the tiny world (responder identity and RTT within the
-// jitter band).
+// Property sweep: the walk and the packet oracle agree exactly for every
+// monitored link of the tiny world, echo and expiry alike.
 class FastEventEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastEventEquivalence, ResponderAndRttAgree) {
   ProberWorld w;
+  ProberWorld twin;
   const auto truth = w.rt->topology.interdomain_links_of(30997);
   const int index = GetParam();
   if (index >= static_cast<int>(truth.size())) GTEST_SKIP();
   const auto target = truth[static_cast<std::size_t>(index)].far_ip;
 
-  const auto fast = w.prober->probe(target);
-  ProbeOptions ev;
-  ev.event_mode = true;
-  const auto slow = w.prober->probe(target, ev);
-  ASSERT_TRUE(fast.answered);
-  ASSERT_TRUE(slow.answered);
-  EXPECT_EQ(fast.responder, slow.responder);
-  EXPECT_NEAR(to_ms(fast.rtt), to_ms(slow.rtt), 2.0);
+  for (const std::uint8_t ttl : {1, 64}) {
+    ProbeOptions o;
+    o.ttl = ttl;
+    const auto fast = w.prober->probe(target, o);
+    ASSERT_TRUE(fast.answered);
+    EXPECT_EQ(oracle::mismatch(fast, twin.oracle_probe(w, target, o)), "");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLinks, FastEventEquivalence, ::testing::Range(0, 4));

@@ -9,6 +9,7 @@
 #include <string>
 #include <tuple>
 
+#include "oracle/packet_engine.h"
 #include "sim/network.h"
 #include "sim/queue.h"
 #include "sim/traffic.h"
@@ -19,51 +20,7 @@ namespace ixp::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Event engine
-
-TEST(Simulator, RunsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule(kSecond * 3, [&] { order.push_back(3); });
-  sim.schedule(kSecond * 1, [&] { order.push_back(1); });
-  sim.schedule(kSecond * 2, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), TimePoint(kSecond * 3));
-}
-
-TEST(Simulator, TiesBreakInScheduleOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule(kSecond, [&order, i] { order.push_back(i); });
-  }
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(kSecond * 1, [&] { ++fired; });
-  sim.schedule(kSecond * 5, [&] { ++fired; });
-  sim.run_until(TimePoint(kSecond * 2));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), TimePoint(kSecond * 2));
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(Simulator, NestedScheduling) {
-  Simulator sim;
-  int depth = 0;
-  sim.schedule(kSecond, [&] {
-    ++depth;
-    sim.schedule(kSecond, [&] { ++depth; });
-  });
-  sim.run();
-  EXPECT_EQ(depth, 2);
-  EXPECT_EQ(sim.now(), TimePoint(kSecond * 2));
-}
+// Clock, and the oracle's event loop
 
 TEST(Simulator, AdvanceToSkipsForward) {
   Simulator sim;
@@ -73,86 +30,103 @@ TEST(Simulator, AdvanceToSkipsForward) {
   EXPECT_EQ(sim.now(), TimePoint(kHour));
 }
 
-TEST(Simulator, ClearResetsState) {
-  Simulator sim;
-  sim.schedule(kSecond, [] {});
-  sim.schedule(kSecond * 2, [] {});
-  sim.run();
-  EXPECT_EQ(sim.now(), TimePoint(kSecond * 2));
-  EXPECT_EQ(sim.executed(), 2u);
+using oracle::EventLoop;
+using oracle::mismatch;
+using oracle::PacketEngine;
 
-  sim.schedule(kSecond, [] {});  // left pending across the clear
-  sim.clear();
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.now(), TimePoint{});
-  EXPECT_EQ(sim.executed(), 0u);
+TEST(EventLoop, RunsInTimeOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule(kSecond * 3, [&] { order.push_back(3); });
+  loop.schedule(kSecond * 1, [&] { order.push_back(1); });
+  loop.schedule(kSecond * 2, [&] { order.push_back(2); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop.now(), TimePoint(kSecond * 3));
+}
 
-  // A cleared simulator must behave like a fresh one: an event scheduled
-  // one second out fires at t=1s, not one second past the stale clock.
+TEST(EventLoop, TiesBreakInScheduleOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    loop.schedule(kSecond, [&order, i] { order.push_back(i); });
+  }
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventLoop, RunUntilStopsAtBoundary) {
+  EventLoop loop;
+  int fired = 0;
+  loop.schedule(kSecond * 1, [&] { ++fired; });
+  loop.schedule(kSecond * 5, [&] { ++fired; });
+  loop.run_until(TimePoint(kSecond * 2));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.now(), TimePoint(kSecond * 2));
+  EXPECT_EQ(loop.pending(), 1u);
+}
+
+TEST(EventLoop, NestedScheduling) {
+  EventLoop loop;
+  int depth = 0;
+  loop.schedule(kSecond, [&] {
+    ++depth;
+    loop.schedule(kSecond, [&] { ++depth; });
+  });
+  loop.run();
+  EXPECT_EQ(depth, 2);
+  EXPECT_EQ(loop.now(), TimePoint(kSecond * 2));
+}
+
+TEST(EventLoop, ClearResetsState) {
+  EventLoop loop;
+  loop.schedule(kSecond, [] {});
+  loop.schedule(kSecond * 2, [] {});
+  loop.run();
+  EXPECT_EQ(loop.now(), TimePoint(kSecond * 2));
+  EXPECT_EQ(loop.executed(), 2u);
+  EXPECT_EQ(loop.scheduled(), 2u);
+
+  loop.schedule(kSecond, [] {});  // left pending across the clear
+  loop.clear();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.now(), TimePoint{});
+  EXPECT_EQ(loop.executed(), 0u);
+
+  // A cleared loop must behave like a fresh one: an event scheduled one
+  // second out fires at t=1s, not one second past the stale clock.
   TimePoint fired_at{};
-  sim.schedule(kSecond, [&] { fired_at = sim.now(); });
-  sim.run();
+  loop.schedule(kSecond, [&] { fired_at = loop.now(); });
+  loop.run();
   EXPECT_EQ(fired_at, TimePoint(kSecond));
-  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(loop.executed(), 1u);
 }
 
 // Scheduling into the past is a causality violation.  Under IXP_PARANOID
-// it must check-fail with the offending delta; with checks off it keeps
-// the historic clamp-to-now behaviour.  Regression: schedule_at used to
-// clamp silently in every build, which let a wrong arrival time corrupt
-// results instead of aborting.
-TEST(SimulatorDeathTest, PastTimeScheduleFailsUnderParanoid) {
+// it must check-fail with the offending delta; with checks off it clamps
+// to now.
+TEST(EventLoopDeathTest, PastTimeScheduleFailsUnderParanoid) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The child process re-executes this test and inherits the environment,
   // so the paranoid branch is armed before its first check runs.
   setenv("IXP_PARANOID", "1", 1);
-  Simulator sim;
-  sim.advance_to(TimePoint(kMinute));
-  EXPECT_DEATH(sim.schedule_at(TimePoint(kSecond), [] {}),
-               "schedule_at into the past");
+  EventLoop loop;
+  loop.run_until(TimePoint(kMinute));
+  EXPECT_DEATH(loop.schedule_at(TimePoint(kSecond), [] {}), "schedule_at into the past");
   unsetenv("IXP_PARANOID");
 }
 
-TEST(Simulator, PastTimeScheduleClampsWhenChecksOff) {
+TEST(EventLoop, PastTimeScheduleClampsWhenChecksOff) {
   if (paranoid_checks_enabled()) {
     GTEST_SKIP() << "paranoid build: past-time scheduling aborts instead";
   }
-  Simulator sim;
-  sim.advance_to(TimePoint(kMinute));
+  EventLoop loop;
+  loop.run_until(TimePoint(kMinute));
   TimePoint fired{};
-  sim.schedule_at(TimePoint(kSecond), [&] { fired = sim.now(); });
-  sim.run();
+  loop.schedule_at(TimePoint(kSecond), [&] { fired = loop.now(); });
+  loop.run();
   EXPECT_EQ(fired, TimePoint(kMinute));  // clamped to now(), not t=1s
-  EXPECT_EQ(sim.now(), TimePoint(kMinute));
-}
-
-// Regression: run()/run_until() after advance_to() used to execute the
-// overdue event at its original (stale) timestamp, rewinding now() --
-// schedule(delay) inside the action then computed from a clock that had
-// already moved on.
-TEST(Simulator, AdvanceToThenRunFiresOverdueAtAdvancedClock) {
-  Simulator sim;
-  TimePoint fired{};
-  TimePoint nested{};
-  sim.schedule(kSecond, [&] {
-    fired = sim.now();
-    sim.schedule(kSecond, [&] { nested = sim.now(); });
-  });
-  sim.advance_to(TimePoint(kMinute));
-  sim.run();
-  EXPECT_EQ(fired, TimePoint(kMinute));
-  EXPECT_EQ(nested, TimePoint(kMinute + kSecond));
-  EXPECT_EQ(sim.now(), TimePoint(kMinute + kSecond));
-}
-
-TEST(Simulator, RunUntilNeverRewindsAdvancedClock) {
-  Simulator sim;
-  TimePoint fired{};
-  sim.schedule(kSecond, [&] { fired = sim.now(); });
-  sim.advance_to(TimePoint(kMinute));
-  sim.run_until(TimePoint(kSecond * 30));
-  EXPECT_EQ(fired, TimePoint(kMinute));      // overdue event sees the advanced clock
-  EXPECT_EQ(sim.now(), TimePoint(kMinute));  // boundary below now() must not rewind
+  EXPECT_EQ(loop.now(), TimePoint(kMinute));
 }
 
 // ---------------------------------------------------------------------------
@@ -506,7 +480,6 @@ struct TestNet {
     lan.capacity_bps = 1e9;
     lan.prop_delay = milliseconds(0.1);
     net.connect(host, host_addr, r1, r1_host_if, lan, *net::Ipv4Prefix::parse("10.0.0.0/30"));
-    h.set_gateway(0, r1_host_if);
     LinkConfig core;
     core.capacity_bps = 1e9;
     core.prop_delay = milliseconds(1);
@@ -523,7 +496,6 @@ struct TestNet {
     LinkConfig stub_link;
     net.connect(r2, r2_lo, stub.id(), net::Ipv4Address(10, 0, 2, 1), stub_link,
                 *net::Ipv4Prefix::parse("10.0.2.0/30"));
-    stub.set_gateway(0, r2_lo);
     b.add_route(*net::Ipv4Prefix::parse("10.0.2.0/30"), {static_cast<int>(b.interfaces().size()) - 1, {}});
   }
 
@@ -537,6 +509,55 @@ struct TestNet {
     p.seq = 1;
     p.sent_at = net.simulator().now();
     return p;
+  }
+};
+
+/// vp -- a -- fabric -- b -- dst host, with a third member c on the
+/// fabric: the member-to-member crossing of an IXP LAN.
+struct FabricNet {
+  Network net;
+  NodeId host = kInvalidNode;
+  Router* a = nullptr;
+
+  FabricNet() {
+    auto& h = net.add_host("vp");
+    a = &net.add_router("a", {});
+    auto& sw = net.add_switch("fabric");
+    auto& b = net.add_router("b", {});
+    auto& c = net.add_router("c", {});
+    auto& dsth = net.add_host("dst");
+    host = h.id();
+    LinkConfig lan;
+    const auto host_net = *net::Ipv4Prefix::parse("10.0.0.0/30");
+    net.connect(h.id(), net::Ipv4Address(10, 0, 0, 2), a->id(), net::Ipv4Address(10, 0, 0, 1),
+                lan, host_net);
+    const auto peering = *net::Ipv4Prefix::parse("196.49.0.0/24");
+    net.connect(a->id(), net::Ipv4Address(196, 49, 0, 1), sw.id(), {}, lan, peering);
+    net.connect(b.id(), net::Ipv4Address(196, 49, 0, 2), sw.id(), {}, lan, peering);
+    net.connect(c.id(), net::Ipv4Address(196, 49, 0, 3), sw.id(), {}, lan, peering);
+    net.connect(b.id(), net::Ipv4Address(10, 0, 3, 1), dsth.id(), net::Ipv4Address(10, 0, 3, 2),
+                lan, *net::Ipv4Prefix::parse("10.0.3.0/30"));
+    a->add_route(host_net, {0, {}});
+    a->add_route(peering, {1, {}});
+    a->add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, net::Ipv4Address(196, 49, 0, 2)});
+    b.add_route(host_net, {0, net::Ipv4Address(196, 49, 0, 1)});
+    b.add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, {}});
+    c.add_route(host_net, {0, net::Ipv4Address(196, 49, 0, 1)});
+  }
+
+  [[nodiscard]] net::Packet probe(net::Ipv4Address dst, std::uint8_t ttl) const {
+    net::Packet p;
+    p.src = net::Ipv4Address(10, 0, 0, 2);
+    p.dst = dst;
+    p.ttl = ttl;
+    return p;
+  }
+
+  void zero_icmp_jitter() {
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+      Node& n = net.node(static_cast<NodeId>(i));
+      if (n.is_router()) static_cast<Router&>(n).mutable_config().icmp_jitter = Duration(0);
+    }
   }
 };
 
@@ -581,45 +602,29 @@ TEST(NetworkFastPath, HostEndToEnd) {
   EXPECT_EQ(res.responder, net::Ipv4Address(10, 0, 2, 1));
 }
 
-TEST(NetworkEventMode, MatchesFastPathRtt) {
-  TestNet t;
-  // Fast path RTT.
-  const auto fast = t.net.probe(t.host, t.probe(t.r2_r1_if, 64));
-  ASSERT_TRUE(fast.answered);
-
-  // Event mode: send the real packet and capture the reply at the host.
-  auto& h = dynamic_cast<Host&>(t.net.node(t.host));
-  bool got = false;
-  Duration rtt{};
-  h.set_rx_callback([&](const net::Packet& pkt, TimePoint at) {
-    if (pkt.icmp_type == net::IcmpType::kEchoReply) {
-      got = true;
-      rtt = at - pkt.sent_at;
-    }
-  });
-  auto pkt = t.probe(t.r2_r1_if, 64);
-  h.send(t.net, pkt);
-  t.net.simulator().run();
-  ASSERT_TRUE(got);
-  // Same links, same (empty) queues; only ICMP jitter differs.  The base
-  // path is ~2.2 ms; accept a 2 ms band for jitter draws.
-  EXPECT_NEAR(to_ms(rtt), to_ms(fast.rtt), 2.0);
-}
-
-TEST(NetworkEventMode, TtlExpiryEventMode) {
-  TestNet t;
-  auto& h = dynamic_cast<Host&>(t.net.node(t.host));
-  net::IcmpType type = net::IcmpType::kEchoReply;
-  net::Ipv4Address responder;
-  h.set_rx_callback([&](const net::Packet& pkt, TimePoint) {
-    type = pkt.icmp_type;
-    responder = pkt.src;
-  });
-  auto pkt = t.probe(net::Ipv4Address(10, 0, 2, 1), 1);
-  h.send(t.net, pkt);
-  t.net.simulator().run();
-  EXPECT_EQ(type, net::IcmpType::kTimeExceeded);
-  EXPECT_EQ(responder, t.r1_host_if);
+TEST(NetworkEventMode, MatchesWalkExactly) {
+  TestNet walked;
+  TestNet packets;
+  PacketEngine engine(packets.net);
+  const net::Ipv4Address stub(10, 0, 2, 1);
+  // Echo from a router, expiry at each router and echo from the stub host,
+  // then with the record-route option (stamped both ways).  A host's echo
+  // reply is a kIcmpReplyBytes message, as the walk books it, not a copy of
+  // the request's size: 8 bytes more would cost 64 ns on each of the three
+  // return links.
+  for (const auto& [dst, ttl, rr] :
+       {std::tuple{walked.r2_r1_if, 64, false}, std::tuple{stub, 1, false},
+        std::tuple{stub, 2, false}, std::tuple{stub, 64, false},
+        std::tuple{walked.r2_r1_if, 64, true}, std::tuple{stub, 2, true},
+        std::tuple{stub, 64, true}}) {
+    SCOPED_TRACE(::testing::Message() << dst.to_string() << " ttl " << ttl << " rr " << rr);
+    auto a = walked.probe(dst, static_cast<std::uint8_t>(ttl));
+    a.record_route = rr;
+    const ProbeResult walk = walked.net.probe(walked.host, a);
+    ASSERT_TRUE(walk.answered);
+    EXPECT_EQ(mismatch(walk, engine.probe(packets.host, a)), "");
+    EXPECT_EQ(walked.net.icmp_generated, packets.net.icmp_generated);
+  }
 }
 
 TEST(Network, IcmpRateLimiting) {
@@ -664,29 +669,9 @@ TEST(Network, QueueDelayVisibleInRtt) {
 }
 
 TEST(Network, L2SwitchInvisibleToTraceroute) {
-  Network net;
-  auto& h = net.add_host("vp");
-  auto& a = net.add_router("a", {});
-  auto& sw = net.add_switch("fabric");
-  auto& b = net.add_router("b", {});
-
-  LinkConfig lan;
-  net.connect(h.id(), net::Ipv4Address(10, 0, 0, 2), a.id(), net::Ipv4Address(10, 0, 0, 1), lan,
-              *net::Ipv4Prefix::parse("10.0.0.0/30"));
-  h.set_gateway(0, net::Ipv4Address(10, 0, 0, 1));
-  const auto peering = *net::Ipv4Prefix::parse("196.49.0.0/24");
-  net.connect(a.id(), net::Ipv4Address(196, 49, 0, 1), sw.id(), {}, lan, peering);
-  net.connect(b.id(), net::Ipv4Address(196, 49, 0, 2), sw.id(), {}, lan, peering);
-  a.add_route(peering, {1, {}});
-  a.add_route(*net::Ipv4Prefix::parse("10.0.0.0/30"), {0, {}});
-  b.add_route(*net::Ipv4Prefix::parse("10.0.0.0/30"), {0, net::Ipv4Address(196, 49, 0, 1)});
-
-  net::Packet p;
-  p.src = net::Ipv4Address(10, 0, 0, 2);
-  p.dst = net::Ipv4Address(196, 49, 0, 2);
-  p.ttl = 2;  // host -> a (ttl 2->1 would expire at the NEXT router)
-  p.icmp_type = net::IcmpType::kEchoRequest;
-  const auto res = net.probe(h.id(), p);
+  FabricNet f;
+  // TTL 2 reaches b: decremented once at a, the switch does not count.
+  const auto res = f.net.probe(f.host, f.probe(net::Ipv4Address(196, 49, 0, 2), 2));
   ASSERT_TRUE(res.answered);
   // Two IP hops: the switch does not decrement TTL and never answers.
   EXPECT_EQ(res.reply_type, net::IcmpType::kEchoReply);
@@ -780,25 +765,24 @@ TEST(NetworkFastPath, AnalyticTailDropWhenBufferFull) {
 }
 
 TEST(NetworkEventMode, TailDropCountedWhenBufferFull) {
-  // Event-mode transmit must honour the enqueue verdict the same way the
-  // analytic walk does: no delivery, and the drop shows up in the counters.
+  // The oracle's transmit honours the enqueue verdict the same way the
+  // walk does: no delivery, and the drop shows up in the counters.
   TestNet t;
   auto& q = t.net.link(0).queue_from(t.host);
   ASSERT_TRUE(q.enqueue(TimePoint{}, 1'000'000));
-  auto& h = dynamic_cast<Host&>(t.net.node(t.host));
+  PacketEngine engine(t.net);
   bool got = false;
-  h.set_rx_callback([&](const net::Packet&, TimePoint) { got = true; });
+  engine.set_rx_callback(t.host, [&](const net::Packet&, TimePoint) { got = true; });
   const auto before = t.net.packets_dropped;
-  auto pkt = t.probe(t.r1_host_if, 64);
-  h.send(t.net, pkt);
-  t.net.simulator().run();
+  engine.send(t.host, t.probe(t.r1_host_if, 64));
+  engine.loop().run();
   EXPECT_FALSE(got);
   EXPECT_EQ(t.net.packets_dropped, before + 1);
 }
 
 TEST(NetworkFastPath, ProbeBytesJoinBacklog) {
-  // Analytic probes book their bytes into each crossed queue, matching what
-  // event mode does; both directions of the first link see the traffic.
+  // Probes book their bytes into each crossed queue; both directions of the
+  // first link see the traffic.
   TestNet t;
   const auto res = t.net.probe(t.host, t.probe(t.r2_r1_if, 64));
   ASSERT_TRUE(res.answered);
@@ -811,59 +795,58 @@ TEST(Network, TtlExpiryAcrossFabricReportsPeerAddress) {
   // TTL expiry at a router reached *through* the IXP switch must be reported
   // from that router's fabric-facing interface -- the address a real
   // traceroute across an IXP LAN records -- never 0.0.0.0.
-  Network net;
-  auto& h = net.add_host("vp");
-  auto& a = net.add_router("a", {});
-  auto& sw = net.add_switch("fabric");
-  auto& b = net.add_router("b", {});
-  auto& dsth = net.add_host("dst");
-
-  LinkConfig lan;
-  net.connect(h.id(), net::Ipv4Address(10, 0, 0, 2), a.id(), net::Ipv4Address(10, 0, 0, 1), lan,
-              *net::Ipv4Prefix::parse("10.0.0.0/30"));
-  h.set_gateway(0, net::Ipv4Address(10, 0, 0, 1));
-  const auto peering = *net::Ipv4Prefix::parse("196.49.0.0/24");
-  net.connect(a.id(), net::Ipv4Address(196, 49, 0, 1), sw.id(), {}, lan, peering);
-  net.connect(b.id(), net::Ipv4Address(196, 49, 0, 2), sw.id(), {}, lan, peering);
-  net.connect(b.id(), net::Ipv4Address(10, 0, 3, 1), dsth.id(), net::Ipv4Address(10, 0, 3, 2), lan,
-              *net::Ipv4Prefix::parse("10.0.3.0/30"));
-  dsth.set_gateway(0, net::Ipv4Address(10, 0, 3, 1));
-  a.add_route(*net::Ipv4Prefix::parse("10.0.0.0/30"), {0, {}});
-  a.add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, net::Ipv4Address(196, 49, 0, 2)});
-  b.add_route(*net::Ipv4Prefix::parse("10.0.0.0/30"), {0, net::Ipv4Address(196, 49, 0, 1)});
-  b.add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, {}});
-
-  net::Packet p;
-  p.src = net::Ipv4Address(10, 0, 0, 2);
-  p.dst = net::Ipv4Address(10, 0, 3, 2);
-  p.ttl = 2;  // expires at b: decremented at a, crosses the fabric, dies
-  p.icmp_type = net::IcmpType::kEchoRequest;
-  const auto res = net.probe(h.id(), p);
+  FabricNet f;
+  // TTL 2 expires at b: decremented at a, crosses the fabric, dies.
+  const auto res = f.net.probe(f.host, f.probe(net::Ipv4Address(10, 0, 3, 2), 2));
   ASSERT_TRUE(res.answered);
   EXPECT_EQ(res.reply_type, net::IcmpType::kTimeExceeded);
   EXPECT_EQ(res.responder, net::Ipv4Address(196, 49, 0, 2));
 
   // Control: one more TTL reaches the destination host.
-  p.ttl = 3;
-  const auto through = net.probe(h.id(), p);
+  const auto through = f.net.probe(f.host, f.probe(net::Ipv4Address(10, 0, 3, 2), 3));
   ASSERT_TRUE(through.answered);
   EXPECT_EQ(through.reply_type, net::IcmpType::kEchoReply);
 }
 
+TEST(NetworkEventMode, FabricCrossingMatchesWalk) {
+  // The fabric adds no latency of its own, in either transport: the walk
+  // never charged one, and the goldens are pinned to it.  With the jitter
+  // zeroed, expiry at b and b's echo cost the same: three default links
+  // each way (6 x 0.2 ms, plus 2,880 ns to clock 64 bytes out and 56
+  // back), b's 0.3 ms ICMP generation and a's 20 us forwarding each way:
+  // 1,542,880 ns.
+  FabricNet walked;
+  FabricNet packets;
+  walked.zero_icmp_jitter();
+  packets.zero_icmp_jitter();
+  PacketEngine engine(packets.net);
+  for (const auto& [dst, ttl] : {std::pair{net::Ipv4Address(10, 0, 3, 2), 2},
+                                 std::pair{net::Ipv4Address(196, 49, 0, 2), 64}}) {
+    SCOPED_TRACE(::testing::Message() << dst.to_string() << " ttl " << ttl);
+    const auto pkt = walked.probe(dst, static_cast<std::uint8_t>(ttl));
+    const ProbeResult walk = walked.net.probe(walked.host, pkt);
+    ASSERT_TRUE(walk.answered);
+    EXPECT_EQ(walk.responder, net::Ipv4Address(196, 49, 0, 2));
+    EXPECT_EQ(walk.rtt.count(), 1'542'880);
+    EXPECT_EQ(mismatch(walk, engine.probe(packets.host, pkt)), "");
+    // Let the probe's own bytes drain before the next one.
+    for (FabricNet* f : {&walked, &packets}) f->net.simulator().advance_to(TimePoint(kSecond));
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Scheduled delay steps (mid-campaign reroutes).  Both execution modes
-// evaluate link delays at the instant a packet crosses the link, so a step
-// taking effect mid-flight never rewrites a crossing that already happened
-// -- and the event engine stays byte-for-byte equal to the analytic walk
-// across the boundary.  Regression: the immediate set_prop_delay() setter
-// was the only API, so a fault plan firing mid-run retroactively changed
-// packets already past the link (event mode kept the old delay baked into
-// its scheduled arrival; the analytic walk re-read the new value).
+// Scheduled delay steps (mid-campaign reroutes).  Link delays are evaluated
+// at the instant a packet crosses the link, so a step taking effect
+// mid-flight never rewrites a crossing that already happened -- and the
+// packet oracle stays bit for bit equal to the walk across the boundary.
+// Regression: the immediate set_prop_delay() setter was the only API, so a
+// fault plan firing mid-run retroactively changed packets already past the
+// link.
 
 struct ParityNet : TestNet {
   ParityNet() {
-    // Zero the ICMP jitter so the two modes are deterministic and exactly
-    // comparable; every other delay term is already constant.
+    // Zero the ICMP jitter so the RTT differences below are exact sums of
+    // the delay terms.
     dynamic_cast<Router&>(net.node(r1)).mutable_config().icmp_jitter = Duration(0);
     dynamic_cast<Router&>(net.node(r2)).mutable_config().icmp_jitter = Duration(0);
     // Reroute at t=5s: the core link's propagation delay steps 1 ms -> 21 ms.
@@ -879,65 +862,57 @@ TEST(Network, DelayStepMatchesEventAndAnalyticAcrossBoundary) {
   const TimePoint straddle_t(kSecond * 5 - std::chrono::microseconds(200));
   const TimePoint after_t(kSecond * 10);
 
-  // Analytic walks.
+  // Walks.
   ParityNet a;
-  a.net.simulator().advance_to(before_t);
-  const auto fast_before = a.net.probe(a.host, a.probe(a.r2_r1_if, 64));
-  a.net.simulator().advance_to(straddle_t);
-  const auto fast_straddle = a.net.probe(a.host, a.probe(a.r2_r1_if, 64));
-  a.net.simulator().advance_to(after_t);
-  const auto fast_after = a.net.probe(a.host, a.probe(a.r2_r1_if, 64));
-  ASSERT_TRUE(fast_before.answered);
-  ASSERT_TRUE(fast_straddle.answered);
-  ASSERT_TRUE(fast_after.answered);
+  std::vector<ProbeResult> walks;
+  for (const TimePoint at : {before_t, straddle_t, after_t}) {
+    a.net.simulator().advance_to(at);
+    walks.push_back(a.net.probe(a.host, a.probe(a.r2_r1_if, 64)));
+    ASSERT_TRUE(walks.back().answered);
+  }
 
-  // Event mode, same instants on a separately built but identical net.
+  // Scheduled packets, same instants, on a separately built but identical
+  // net, all in one run of the oracle's loop.
   ParityNet e;
-  auto& h = dynamic_cast<Host&>(e.net.node(e.host));
+  PacketEngine engine(e.net);
   std::vector<Duration> rtts;
-  h.set_rx_callback([&](const net::Packet& pkt, TimePoint at) {
+  engine.set_rx_callback(e.host, [&](const net::Packet& pkt, TimePoint at) {
     if (pkt.icmp_type == net::IcmpType::kEchoReply) rtts.push_back(at - pkt.sent_at);
   });
-  auto& sim = e.net.simulator();
   for (const TimePoint at : {before_t, straddle_t, after_t}) {
-    sim.schedule_at(at, [&] {
+    engine.loop().schedule_at(at, [&] {
       auto pkt = e.probe(e.r2_r1_if, 64);
-      h.send(e.net, pkt);
+      pkt.sent_at = engine.loop().now();
+      engine.send(e.host, pkt);
     });
   }
-  sim.run();
+  engine.loop().run();
   ASSERT_EQ(rtts.size(), 3u);
 
-  // Byte-for-byte parity on each side of the reroute and across it.
-  EXPECT_EQ(rtts[0].count(), fast_before.rtt.count());
-  EXPECT_EQ(rtts[1].count(), fast_straddle.rtt.count());
-  EXPECT_EQ(rtts[2].count(), fast_after.rtt.count());
+  // Bit-for-bit parity on each side of the reroute and across it.
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(rtts[i].count(), walks[i].rtt.count()) << i;
 
   // The step never acts retroactively: the straddling probe's forward leg
   // crossed at the old 1 ms delay and only its reply picked up the new
   // 21 ms, so exactly one of the two 20 ms increments shows up.
-  EXPECT_EQ((fast_straddle.rtt - fast_before.rtt).count(), milliseconds(20).count());
-  EXPECT_EQ((fast_after.rtt - fast_before.rtt).count(), milliseconds(40).count());
+  EXPECT_EQ((walks[1].rtt - walks[0].rtt).count(), milliseconds(20).count());
+  EXPECT_EQ((walks[2].rtt - walks[0].rtt).count(), milliseconds(40).count());
 }
 
 TEST(Network, DelayStepDoesNotRewriteInFlightEventPackets) {
   // A packet already past the link when the step fires must arrive on the
   // old delay's schedule: launch at t=4.9998s (crossing the core at the
-  // 1 ms delay), then confirm the one-way arrival lands ~1 ms later, not
-  // 21 ms later.
+  // 1 ms delay), then confirm the round trip picks up one 20 ms increment
+  // (the reply's), not two.
   ParityNet e;
-  auto& h = dynamic_cast<Host&>(e.net.node(e.host));
+  PacketEngine engine(e.net);
   TimePoint got{};
-  h.set_rx_callback([&](const net::Packet& pkt, TimePoint at) {
+  engine.set_rx_callback(e.host, [&](const net::Packet& pkt, TimePoint at) {
     if (pkt.icmp_type == net::IcmpType::kEchoReply) got = at;
   });
-  auto& sim = e.net.simulator();
   const TimePoint launch(kSecond * 5 - std::chrono::microseconds(200));
-  sim.schedule_at(launch, [&] {
-    auto pkt = e.probe(e.r2_r1_if, 64);
-    h.send(e.net, pkt);
-  });
-  sim.run();
+  engine.loop().schedule_at(launch, [&] { engine.send(e.host, e.probe(e.r2_r1_if, 64)); });
+  engine.loop().run();
   ASSERT_NE(got, TimePoint{});
   // Forward leg on the old delay (~1.12 ms to reach r2), reply on the new
   // one: total stays far below the 42 ms a retroactive rewrite would give.
@@ -951,6 +926,7 @@ struct AsymmetricNet {
   Network net;
   NodeId host;
   net::Ipv4Address target_addr{net::Ipv4Address(10, 1, 0, 2)};
+  std::vector<Router*> chain;  ///< c1 .. cn
 
   explicit AsymmetricNet(int n) {
     auto& h = net.add_host("vp");
@@ -961,7 +937,6 @@ struct AsymmetricNet {
     const auto host_net = *net::Ipv4Prefix::parse("10.0.0.0/30");
     net.connect(host, net::Ipv4Address(10, 0, 0, 2), rs.id(), net::Ipv4Address(10, 0, 0, 1), lan,
                 host_net);
-    h.set_gateway(0, net::Ipv4Address(10, 0, 0, 1));
     net.connect(rs.id(), net::Ipv4Address(10, 1, 0, 1), target.id(), target_addr, lan,
                 *net::Ipv4Prefix::parse("10.1.0.0/30"));
     rs.add_route(host_net, {0, {}});
@@ -972,6 +947,7 @@ struct AsymmetricNet {
       std::string cname = "c";
       cname += std::to_string(i);
       auto& c = net.add_router(cname, {});
+      chain.push_back(&c);
       net.connect(prev->id(), net::Ipv4Address(10, 2, static_cast<std::uint8_t>(i), 1), c.id(),
                   net::Ipv4Address(10, 2, static_cast<std::uint8_t>(i), 2), lan,
                   *net::Ipv4Prefix::parse("10.2." + std::to_string(i) + ".0/30"));
@@ -983,15 +959,32 @@ struct AsymmetricNet {
     prev->add_route(host_net, {static_cast<int>(prev->interfaces().size()) - 1, {}});
   }
 
-  ProbeResult ping() {
+  [[nodiscard]] net::Packet packet(bool rr) const {
     net::Packet p;
     p.src = net::Ipv4Address(10, 0, 0, 2);
     p.dst = target_addr;
-    p.ttl = 64;
-    p.icmp_type = net::IcmpType::kEchoRequest;
-    return net.probe(host, p);
+    p.record_route = rr;
+    return p;
   }
+  ProbeResult ping() { return net.probe(host, packet(false)); }
 };
+
+TEST(NetworkEventMode, RecordRouteReplyPassesFilteringRouter) {
+  // The probe reaches the target straight through rs; the reply returns
+  // over c1 and c2, and c1 filters record-route.  Filtering drops optioned
+  // probes, never the replies they draw: both transports answer, stamped
+  // over the return chain.
+  AsymmetricNet walked(2);
+  AsymmetricNet packets(2);
+  for (AsymmetricNet* n : {&walked, &packets}) n->chain[0]->mutable_config().rr_filtered = true;
+  PacketEngine engine(packets.net);
+  const net::Packet pkt = walked.packet(/*rr=*/true);
+  const ProbeResult walk = walked.net.probe(walked.host, pkt);
+  ASSERT_TRUE(walk.answered);
+  // rs toward the target; then target, c1, c2 and rs on the way back.
+  EXPECT_EQ(walk.record_route.size(), 5u);
+  EXPECT_EQ(mismatch(walk, engine.probe(packets.host, pkt)), "");
+}
 
 // ---------------------------------------------------------------------------
 // Route-memo invalidation (regression for the memoized FIB lookup: a route
@@ -1022,45 +1015,15 @@ TEST(Router, RouteMemoInvalidatedByRouteChange) {
 TEST(Network, ProbeFollowsRouteChangeNotStaleMemo) {
   // End-to-end variant: after probes memoized the path through b, installing
   // a more-specific detour through c must redirect the very next probe.
-  Network net;
-  auto& h = net.add_host("vp");
-  auto& a = net.add_router("a", {});
-  auto& sw = net.add_switch("fabric");
-  auto& b = net.add_router("b", {});
-  auto& c = net.add_router("c", {});
-  auto& dsth = net.add_host("dst");
-
-  LinkConfig lan;
-  const auto host_net = *net::Ipv4Prefix::parse("10.0.0.0/30");
-  net.connect(h.id(), net::Ipv4Address(10, 0, 0, 2), a.id(), net::Ipv4Address(10, 0, 0, 1), lan,
-              host_net);
-  h.set_gateway(0, net::Ipv4Address(10, 0, 0, 1));
-  const auto peering = *net::Ipv4Prefix::parse("196.49.0.0/24");
-  net.connect(a.id(), net::Ipv4Address(196, 49, 0, 1), sw.id(), {}, lan, peering);
-  net.connect(b.id(), net::Ipv4Address(196, 49, 0, 2), sw.id(), {}, lan, peering);
-  net.connect(c.id(), net::Ipv4Address(196, 49, 0, 3), sw.id(), {}, lan, peering);
-  net.connect(b.id(), net::Ipv4Address(10, 0, 3, 1), dsth.id(), net::Ipv4Address(10, 0, 3, 2), lan,
-              *net::Ipv4Prefix::parse("10.0.3.0/30"));
-  dsth.set_gateway(0, net::Ipv4Address(10, 0, 3, 1));
-  a.add_route(host_net, {0, {}});
-  a.add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, net::Ipv4Address(196, 49, 0, 2)});
-  b.add_route(host_net, {0, net::Ipv4Address(196, 49, 0, 1)});
-  b.add_route(*net::Ipv4Prefix::parse("10.0.3.0/30"), {1, {}});
-  c.add_route(host_net, {0, net::Ipv4Address(196, 49, 0, 1)});
-
-  net::Packet p;
-  p.src = net::Ipv4Address(10, 0, 0, 2);
-  p.dst = net::Ipv4Address(10, 0, 3, 2);
-  p.icmp_type = net::IcmpType::kEchoRequest;
+  FabricNet f;
+  const auto p = f.probe(net::Ipv4Address(10, 0, 3, 2), 2);
   for (int i = 0; i < 3; ++i) {  // warm a's lookup caches toward dst
-    p.ttl = 2;
-    const auto via_b = net.probe(h.id(), p);
+    const auto via_b = f.net.probe(f.host, p);
     ASSERT_TRUE(via_b.answered);
     EXPECT_EQ(via_b.responder, net::Ipv4Address(196, 49, 0, 2));
   }
-  a.add_route(*net::Ipv4Prefix::parse("10.0.3.2/32"), {1, net::Ipv4Address(196, 49, 0, 3)});
-  p.ttl = 2;
-  const auto via_c = net.probe(h.id(), p);
+  f.a->add_route(*net::Ipv4Prefix::parse("10.0.3.2/32"), {1, net::Ipv4Address(196, 49, 0, 3)});
+  const auto via_c = f.net.probe(f.host, p);
   ASSERT_TRUE(via_c.answered);
   EXPECT_EQ(via_c.responder, net::Ipv4Address(196, 49, 0, 3));
 }
@@ -1116,7 +1079,6 @@ struct PlanFabric {
     lan.prop_delay = milliseconds(0.1);
     lan.base_loss = 0.003;
     net.connect(host, vp_addr, border->id(), net::Ipv4Address(10, 0, 0, 1), lan, lan_subnet);
-    h.set_gateway(0, net::Ipv4Address(10, 0, 0, 1));
     net.connect(border->id(), border_fab, fabric->id(), {}, lan, peering);
     for (int m = 0; m < kMembers; ++m) {
       RouterConfig rc;
@@ -1134,7 +1096,6 @@ struct PlanFabric {
       auto& stub = net.add_host("stub" + std::to_string(m));
       stub_links.push_back(
           net.connect(r.id(), far_addrs.back(), stub.id(), stub_addrs.back(), lan, far_subnets.back()));
-      stub.set_gateway(0, far_addrs.back());
     }
     install_border_routes();
     for (int m = 0; m < kMembers; ++m) install_member_routes(m);
@@ -1326,6 +1287,51 @@ TEST(WalkPlan, CachedPlanMatchesFreshResolution) {
   EXPECT_GT(expiries, 0u);
   EXPECT_GT(fwd_drops, 0u);
   EXPECT_GT(rev_drops, 0u);
+}
+
+TEST(PacketOracle, MatchesWalkThroughMutations) {
+  // The same scripted fabric life as above, walked on one twin and moved
+  // as scheduled packets on the other: lossy links, a rate-limited member,
+  // a busy port, detours, flushed FIBs, forgotten L2 ports, links down,
+  // silent and RR-filtering routers, delay steps and forwarding-latency
+  // changes.  Every probe agrees in every field, and both sides leave
+  // their random streams in the same state.
+  PlanFabric walked(17);
+  PlanFabric packets(17);
+  PacketEngine engine(packets.net);
+  Rng script(23);
+  std::uint64_t answered = 0, lost = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (script.chance(0.01)) {
+      const Mutation mu = draw_mutation(script);
+      apply(walked, mu);
+      apply(packets, mu);
+      continue;
+    }
+    const int m = static_cast<int>(script.uniform_int(0, PlanFabric::kMembers - 1));
+    const int which = static_cast<int>(script.uniform_int(0, 2));
+    const auto ttl = static_cast<std::uint8_t>(script.uniform_int(1, 6));
+    const bool rr = script.chance(0.25);
+    const Duration gap = milliseconds(script.uniform(0.01, 30.0));
+    const net::Ipv4Address dst =
+        which == 0 ? walked.fab_addrs[m] : which == 1 ? walked.far_addrs[m] : walked.stub_addrs[m];
+    SCOPED_TRACE(::testing::Message() << "step " << step << " dst " << dst.to_string()
+                                      << " ttl " << int(ttl) << " rr " << rr);
+    const net::Packet pkt = walked.probe(dst, ttl, rr);
+    const ProbeResult walk = walked.net.probe(walked.host, pkt);
+    EXPECT_EQ(mismatch(walk, engine.probe(packets.host, pkt)), "");
+    if (::testing::Test::HasFailure()) return;
+    Rng next_a = walked.net.rng(), next_b = packets.net.rng();
+    ASSERT_EQ(next_a.next(), next_b.next());
+    ASSERT_EQ(walked.net.packets_dropped, packets.net.packets_dropped);
+    ASSERT_EQ(walked.net.hops_walked, packets.net.hops_walked);
+    ASSERT_EQ(walked.net.icmp_generated, packets.net.icmp_generated);
+    (walk.answered ? answered : lost) += 1;
+    walked.net.simulator().advance_to(walked.net.simulator().now() + gap);
+    packets.net.simulator().advance_to(packets.net.simulator().now() + gap);
+  }
+  EXPECT_GT(answered, 3000u);
+  EXPECT_GT(lost, 300u);
 }
 
 }  // namespace

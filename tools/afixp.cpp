@@ -13,9 +13,6 @@
 //   afixp selftest  [--golden-dir tests/golden] [--update-golden]
 //       golden-regression checks of the statistics path (level shifts,
 //       change points, diurnal scoring, loss correlation).
-//   afixp bench     [--smoke] [--out BENCH_sim.json] [--only <name>]
-//       probe hot-path benchmark harness; emits the BENCH_sim.json perf
-//       record compared across PRs (see README "Benchmark harness").
 //   afixp chaos     [--plan default] [--seed 1] [--fast] [--jobs N]
 //       run the six VP campaigns under a named fault plan and score the
 //       classifier against the engineered ground truth (precision/recall
@@ -287,45 +284,6 @@ int cmd_selftest(int argc, const char* const* argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int cmd_bench(int argc, const char* const* argv) {
-  Flags flags("afixp bench", "probe hot-path benchmark harness (BENCH_sim.json)");
-  flags.add_bool("smoke", false, "CI-sized workloads (seconds, not minutes)");
-  flags.add_string("out", "BENCH_sim.json", "output JSON path (empty = stdout)");
-  flags.add_string("only", "", "run only the named benchmark (probe_fabric, "
-                   "event_loop, campaign_six_vp)");
-  flags.add_int("repeats", 3, "warm passes per micro-benchmark");
-  flags.add_bool("metrics", false,
-                 "collect observability registries during campaign_six_vp (the "
-                 "reference numbers keep this off; check_bench gates the overhead)");
-  if (!flags.parse(argc, argv)) {
-    std::cerr << flags.error() << "\n";
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::cout << flags.help_text();
-    return 0;
-  }
-  analysis::BenchOptions opt;
-  opt.smoke = flags.get_bool("smoke");
-  opt.only = flags.get_string("only");
-  opt.repeats = static_cast<int>(flags.get_int("repeats"));
-  opt.metrics = flags.get_bool("metrics");
-  const auto report = analysis::run_sim_benchmarks(opt, &std::cerr);
-  const auto out_path = flags.get_string("out");
-  if (out_path.empty()) {
-    analysis::write_bench_json(std::cout, report);
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  analysis::write_bench_json(out, report);
-  std::cout << "bench record: " << out_path << "\n";
-  return 0;
-}
-
 int cmd_chaos(int argc, const char* const* argv) {
   Flags flags("afixp chaos",
               "run the six VP campaigns under a fault plan and score the classifier");
@@ -501,6 +459,23 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
+  // Range checks before any work: a narrowing cast would turn --port 70000
+  // into another port and --rounds -1 into "serve forever".
+  const std::int64_t port = flags.get_int("port");
+  const std::int64_t rounds = flags.get_int("rounds");
+  const std::int64_t http_threads = flags.get_int("http-threads");
+  if (port < 0 || port > 65535) {
+    std::cerr << "--port must be in 0..65535, got " << port << "\n";
+    return 2;
+  }
+  if (rounds < 0) {
+    std::cerr << "--rounds must be at least 0, got " << rounds << "\n";
+    return 2;
+  }
+  if (http_threads < 1) {
+    std::cerr << "--http-threads must be at least 1, got " << http_threads << "\n";
+    return 2;
+  }
 
   serve::ServeOptions sopt;
   const std::string plan_name = flags.get_string("fault-plan");
@@ -539,7 +514,7 @@ int cmd_serve(int argc, const char* const* argv) {
     sopt.specs = analysis::generate_substrate(*spec);
   }
   sopt.fault_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  sopt.rounds = static_cast<std::uint64_t>(flags.get_int("rounds"));
+  sopt.rounds = static_cast<std::uint64_t>(rounds);
   sopt.campaign.round_interval = *interval;
   if (flags.get_int("days") > 0) {
     sopt.campaign.duration_override = kDay * flags.get_int("days");
@@ -548,8 +523,8 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   sopt.campaign.columnar = flags.get_bool("columnar");
   sopt.jobs = static_cast<int>(flags.get_int("jobs"));
-  sopt.port = static_cast<int>(flags.get_int("port"));
-  sopt.http_threads = static_cast<int>(flags.get_int("http-threads"));
+  sopt.port = static_cast<int>(port);
+  sopt.http_threads = static_cast<int>(http_threads);
   sopt.log = &std::cerr;
 
   serve::ServeDaemon daemon(std::move(sopt));
@@ -761,7 +736,6 @@ constexpr Command kCommands[] = {
      &cmd_tables},
     {"casebook", "print the documented §6.2 case studies", &cmd_casebook},
     {"selftest", "golden-regression checks of the statistics path", &cmd_selftest},
-    {"bench", "probe hot-path benchmark harness (BENCH_sim.json)", &cmd_bench},
     {"chaos", "run the VP fleet under a fault plan and score the classifier",
      &cmd_chaos},
     {"gen", "expand a topology spec into an IXP substrate and run or bench it",

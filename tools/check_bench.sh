@@ -23,7 +23,7 @@
 # field docs/SCALING.md documents, with positive throughput and a columnar
 # store that actually beats raw storage.
 #
-# The afixp-bench-sim/3 record states the CPU count of the host it ran on
+# The afixp-bench-sim/4 record states the CPU count of the host it ran on
 # (host_cpus), so no wall-clock number is read without its parallelism.
 # The committed reference BENCH_sim.json is checked for the full workload,
 # the same benchmark set, and that field.
@@ -79,14 +79,14 @@ with open(sys.argv[1]) as f:
 def fail(msg):
     sys.exit(f"check_bench: {msg}")
 
-if record.get("schema") != "afixp-bench-sim/3":
+if record.get("schema") != "afixp-bench-sim/4":
     fail(f"unexpected schema tag {record.get('schema')!r}")
 if record.get("workload") != "smoke":
     fail(f"expected workload 'smoke', got {record.get('workload')!r}")
 benches = record.get("benchmarks")
 if not isinstance(benches, list) or not benches:
     fail("'benchmarks' must be a non-empty list")
-expected = {"probe_fabric", "event_loop", "campaign_six_vp"}
+expected = {"probe_fabric", "campaign_six_vp"}
 names = {b.get("name") for b in benches}
 if names != expected:
     fail(f"benchmark set {sorted(names)} != {sorted(expected)}")
@@ -348,11 +348,11 @@ with open(sys.argv[1]) as f:
 def fail(msg):
     sys.exit(f"check_bench: BENCH_sim.json {msg}")
 
-if record.get("schema") != "afixp-bench-sim/3":
+if record.get("schema") != "afixp-bench-sim/4":
     fail(f"has unexpected schema tag {record.get('schema')!r}")
 if record.get("workload") != "full":
     fail(f"is not a full-workload record ({record.get('workload')!r})")
-expected = {"probe_fabric", "event_loop", "campaign_six_vp"}
+expected = {"probe_fabric", "campaign_six_vp"}
 names = {b.get("name") for b in record.get("benchmarks") or []}
 if names != expected:
     fail(f"benchmark set {sorted(names)} != {sorted(expected)}")

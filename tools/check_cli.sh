@@ -1,12 +1,12 @@
 #!/bin/sh
 # CLI dispatch lint, run from CTest (see tools/CMakeLists.txt).
 #
-# The afixp front door must hold four properties: the top-level usage text
+# The afixp front door must hold five properties: the top-level usage text
 # enumerates every subcommand (the dispatch table is the single source, so
 # a new subcommand cannot be reachable-but-undocumented), unknown or
 # missing subcommands exit non-zero with usage on stderr, every subcommand
-# answers --help with exit 0, and bad flag values and retired flags are
-# usage errors (exit 2) before any work starts.
+# answers --help with exit 0, retired subcommands stay gone, and bad flag
+# values are usage errors (exit 2) before any work starts.
 #
 # usage: check_cli.sh <afixp_binary>
 set -u
@@ -20,7 +20,7 @@ err() {
     errors=$((errors + 1))
 }
 
-subcommands="campaign analyze tables casebook selftest bench chaos gen serve"
+subcommands="campaign analyze tables casebook selftest chaos gen serve"
 
 # --- 1. `afixp help` exits 0 and lists every subcommand -------------------
 help_out=$("$afixp" help 2>&1)
@@ -51,21 +51,37 @@ for c in $subcommands; do
         err "'afixp $c --help' exited non-zero"
 done
 
-# --- 4. Usage errors exit 2 ------------------------------------------------
+# --- 4. Retired subcommands are gone ---------------------------------------
+# `afixp bench` duplicated bench/bench_probe, which is now the only probe
+# harness entry point.
+"$afixp" bench > /dev/null 2>&1 && err "retired 'afixp bench' exited zero"
+
+# --- 5. Usage errors exit 2 ------------------------------------------------
 # A cadence below one minute is rejected by name: 0 would divide by zero
-# in the campaign, a negative value would run no rounds at all.  `bench
-# --tslp` is an unknown flag (bench/bench_tslp is the TSLP harness).
+# in the campaign, a negative value would run no rounds at all.  serve's
+# port, pass count and worker count are range-checked before any work: a
+# narrowing cast would turn --port 70000 into another port and --rounds -1
+# into "serve forever".
 usage_error() {
     out=$("$afixp" "$@" 2>&1 >/dev/null)
     rc=$?
     [ "$rc" -eq 2 ] || err "'afixp $*' exited $rc, expected 2"
 }
+names_flag() {
+    echo "$out" | grep -q -- "$1" || err "'afixp $2' does not name the flag $1"
+}
 for m in 0 -5; do
     usage_error campaign --vp 1 --days 2 --round-minutes "$m"
-    echo "$out" | grep -q -- "--round-minutes" ||
-        err "'afixp campaign --round-minutes $m' does not name the flag"
+    names_flag --round-minutes "campaign --round-minutes $m"
 done
-usage_error bench --tslp
+for p in 70000 -1; do
+    usage_error serve --port "$p"
+    names_flag --port "serve --port $p"
+done
+usage_error serve --rounds -1
+names_flag --rounds "serve --rounds -1"
+usage_error serve --http-threads 0
+names_flag --http-threads "serve --http-threads 0"
 
 if [ "$errors" -gt 0 ]; then
     echo "check_cli: FAILED ($errors problem(s))" >&2

@@ -13,11 +13,13 @@
 # and its bench-field table must match the committed BENCH_serve.json
 # (both directions each).
 #
-# usage: check_docs.sh <source_dir> <afixp_binary>
+# usage: check_docs.sh <source_dir> <afixp_binary> <bench_probe_binary>
 set -u
 
-src=${1:?usage: check_docs.sh <source_dir> <afixp_binary>}
-afixp=${2:?usage: check_docs.sh <source_dir> <afixp_binary>}
+usage="usage: check_docs.sh <source_dir> <afixp_binary> <bench_probe_binary>"
+src=${1:?$usage}
+afixp=${2:?$usage}
+bench_probe=${3:?$usage}
 readme="$src/README.md"
 errors=$(mktemp)
 trap 'rm -f "$errors"' EXIT
@@ -28,6 +30,7 @@ err() {
 
 [ -r "$readme" ] || { err "cannot read $readme"; exit 1; }
 [ -x "$afixp" ] || { err "cannot execute $afixp"; exit 1; }
+[ -x "$bench_probe" ] || { err "cannot execute $bench_probe"; exit 1; }
 
 # --- 1. Every bench_* binary README mentions has a source file ------------
 for b in $(grep -o 'bench_[a-z0-9_]*' "$readme" | sort -u); do
@@ -98,13 +101,13 @@ for k in $script_knobs; do
 done
 
 # --- 5. Benchmark harness flags: README documents every one ----------------
-# `afixp bench` is the PR-to-PR performance comparison contract, so the
+# bench_probe is the PR-to-PR performance comparison contract, so the
 # README's "Benchmark harness" section must cover each flag it offers (the
 # reverse of check 3, which only validates flags README already uses).
-"$afixp" bench --help 2>&1 | grep -oE '^  --[a-z-]+' | tr -d ' ' | sort -u |
+"$bench_probe" --help 2>&1 | grep -oE '^  --[a-z-]+' | tr -d ' ' | sort -u |
 while read -r flag; do
     grep -q -- "$flag" "$readme" ||
-        err "'afixp bench --help' offers '$flag' but README does not document it"
+        err "'bench_probe --help' offers '$flag' but README does not document it"
 done
 
 # --- 6. Docs cross-links resolve ------------------------------------------
