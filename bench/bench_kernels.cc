@@ -1,10 +1,16 @@
 // Microbenchmarks of the library's computational kernels (google-benchmark):
-// the rank-based CUSUM detector, fluid-queue integration, fast-path probes,
-// and longest-prefix FIB lookups.  These are throughput sanity checks for
-// the year-long campaign drivers, not paper results.
+// the rank-based CUSUM detector, fluid-queue integration, longest-prefix
+// FIB lookups and the serving layer's per-epoch fold + freeze.  These are
+// throughput sanity checks for the campaign drivers and the daemon, not
+// paper results.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "net/prefix_map.h"
+#include "serve/snapshot.h"
 #include "sim/queue.h"
 #include "stats/changepoint.h"
 #include "tslp/level_shift.h"
@@ -19,8 +25,12 @@ void BM_CusumDetection(benchmark::State& state) {
   Rng rng(1);
   std::vector<double> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = (i > n / 2 ? 25.0 : 10.0) + rng.normal();
+  // The detector's hot-path entry, as the level-shift window scan calls
+  // it: indices only, buffers reused across calls.
+  const stats::CusumOptions opt;
+  stats::ChangePointScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::detect_change_points(v));
+    benchmark::DoNotOptimize(stats::detect_change_point_indices(v, opt, scratch).data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -73,5 +83,50 @@ void BM_PrefixLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixLookup);
+
+void BM_EpochBuild(benchmark::State& state) {
+  // One live epoch of `afixp serve` on a continent100-sized fleet: 1,024
+  // links over 100 VPs, one VP's batch folded, then the epoch frozen.
+  constexpr int kVps = 100;
+  constexpr int kLinks = 1024;
+  serve::SnapshotBuilder builder;
+  std::map<std::string, std::string> facilities;
+  std::vector<analysis::LiveVerdictBatch> batches(kVps);
+  Rng rng(4);
+  for (int i = 0; i < kLinks; ++i) {
+    const int v = i % kVps;
+    analysis::LiveVerdictBatch& b = batches[static_cast<std::size_t>(v)];
+    b.vp_name = "VP" + std::to_string(v);
+    b.ixp = "IXP" + std::to_string(v);
+    analysis::LiveLinkVerdict l;
+    l.key = "L" + std::to_string(i);
+    l.far_asn = 64512 + static_cast<std::uint32_t>(i);
+    l.at_ixp = true;
+    l.far.baseline_ms = 2.0;
+    l.far.coverage = 0.99;
+    if (rng.chance(0.3)) {
+      tslp::Episode e;
+      e.begin = 10;
+      e.end = 40;
+      e.magnitude_ms = rng.uniform(2.0, 40.0);
+      e.p_value = 1e-6;
+      l.far.episodes.push_back(e);
+    }
+    facilities[b.vp_name + "/" + std::to_string(l.far_asn)] =
+        b.ixp + "-F" + std::to_string(i % 3 + 1);
+    b.links.push_back(std::move(l));
+  }
+  builder.set_facilities(std::move(facilities));
+  for (const analysis::LiveVerdictBatch& b : batches) builder.fold_live(b.vp_name, b.ixp, b);
+  std::size_t v = 0;
+  for (auto _ : state) {
+    analysis::LiveVerdictBatch& b = batches[v];
+    for (analysis::LiveLinkVerdict& l : b.links) ++l.samples;
+    builder.fold_live(b.vp_name, b.ixp, b);
+    benchmark::DoNotOptimize(builder.build("", false));
+    v = (v + 1) % batches.size();
+  }
+}
+BENCHMARK(BM_EpochBuild);
 
 }  // namespace

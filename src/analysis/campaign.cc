@@ -525,7 +525,6 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     reg->counter(metric::kQueueHeadroomSkips)->set(qs.headroom_skips);
     reg->counter(metric::kQueueIntegrationSteps)->set(qs.integration_steps);
     reg->counter(metric::kQueueTailDrops)->set(qs.tail_drops);
-    reg->counter(metric::kNetForwarded)->set(net.packets_forwarded);
     reg->counter(metric::kNetDropped)->set(net.packets_dropped);
     reg->counter(metric::kNetIcmp)->set(net.icmp_generated);
     reg->counter(metric::kNetHops)->set(net.hops_walked);

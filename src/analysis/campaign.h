@@ -47,7 +47,6 @@ inline constexpr char kOutageRounds[] = "afixp_faults_outage_rounds_total";
 inline constexpr char kQueueHeadroomSkips[] = "afixp_queue_headroom_skips_total";
 inline constexpr char kQueueIntegrationSteps[] = "afixp_queue_integration_steps_total";
 inline constexpr char kQueueTailDrops[] = "afixp_queue_tail_drops_total";
-inline constexpr char kNetForwarded[] = "afixp_net_packets_forwarded_total";
 inline constexpr char kNetDropped[] = "afixp_net_packets_dropped_total";
 inline constexpr char kNetIcmp[] = "afixp_net_icmp_generated_total";
 inline constexpr char kNetHops[] = "afixp_net_hops_walked_total";

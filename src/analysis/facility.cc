@@ -27,6 +27,26 @@ double binomial_upper_tail(std::size_t k, std::size_t n, double p) {
   return std::min(tail, 1.0);
 }
 
+void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted,
+                    const FacilityDetectorOptions& opt) {
+  // Leave-one-out background rate with Laplace smoothing: what fraction
+  // of the links *outside* this facility were disrupted?  Smoothing
+  // keeps the null rate strictly inside (0, 1), so a quiet substrate
+  // doesn't collapse the tail to an automatic zero.
+  const std::size_t n_out = total - v.links;
+  const std::size_t k_out = total_disrupted - v.disrupted;
+  const double p_out = (static_cast<double>(k_out) + 1.0) / (static_cast<double>(n_out) + 2.0);
+  v.p_value = binomial_upper_tail(v.disrupted, v.links, p_out);
+  v.disrupted_verdict =
+      v.links >= opt.min_links && v.disrupted >= opt.min_disrupted && v.p_value <= opt.alpha;
+}
+
+bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b) {
+  if (a.disrupted_verdict != b.disrupted_verdict) return a.disrupted_verdict;
+  if (a.p_value != b.p_value) return a.p_value < b.p_value;
+  return a.facility < b.facility;
+}
+
 std::vector<FacilityVerdict> detect_facility_disruptions(
     const std::vector<FacilityObservation>& obs, const FacilityDetectorOptions& opt) {
   std::size_t total = 0, total_disrupted = 0;
@@ -44,24 +64,10 @@ std::vector<FacilityVerdict> detect_facility_disruptions(
   std::vector<FacilityVerdict> out;
   out.reserve(by_facility.size());
   for (auto& [name, v] : by_facility) {
-    // Leave-one-out background rate with Laplace smoothing: what fraction
-    // of the links *outside* this facility were disrupted?  Smoothing
-    // keeps the null rate strictly inside (0, 1), so a quiet substrate
-    // doesn't collapse the tail to an automatic zero.
-    const std::size_t n_out = total - v.links;
-    const std::size_t k_out = total_disrupted - v.disrupted;
-    const double p_out =
-        (static_cast<double>(k_out) + 1.0) / (static_cast<double>(n_out) + 2.0);
-    v.p_value = binomial_upper_tail(v.disrupted, v.links, p_out);
-    v.disrupted_verdict = v.links >= opt.min_links && v.disrupted >= opt.min_disrupted &&
-                          v.p_value <= opt.alpha;
+    score_facility(v, total, total_disrupted, opt);
     out.push_back(std::move(v));
   }
-  std::sort(out.begin(), out.end(), [](const FacilityVerdict& a, const FacilityVerdict& b) {
-    if (a.disrupted_verdict != b.disrupted_verdict) return a.disrupted_verdict;
-    if (a.p_value != b.p_value) return a.p_value < b.p_value;
-    return a.facility < b.facility;
-  });
+  std::sort(out.begin(), out.end(), facility_rank_less);
   return out;
 }
 

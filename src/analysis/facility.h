@@ -60,8 +60,18 @@ struct FacilityVerdict {
 /// Upper tail P(X >= k) of a Binomial(n, p); exposed for tests.
 double binomial_upper_tail(std::size_t k, std::size_t n, double p);
 
-/// Scores every facility appearing in `obs`.  Results are sorted most
-/// suspicious first (verdicts, then ascending p-value, then name).
+/// The detector's core, on counts: scores `v.disrupted` of `v.links`
+/// against the leave-one-out background of a substrate of `total` links,
+/// `total_disrupted` of them disrupted (both including `v`'s own), and
+/// fills `v.p_value` and `v.disrupted_verdict`.
+void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted,
+                    const FacilityDetectorOptions& opt = {});
+
+/// Most suspicious first: verdicts, then ascending p-value, then name.
+bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b);
+
+/// Scores every facility appearing in `obs`: counts them and runs
+/// score_facility on each.  Results are in facility_rank_less order.
 std::vector<FacilityVerdict> detect_facility_disruptions(
     const std::vector<FacilityObservation>& obs,
     const FacilityDetectorOptions& opt = {});

@@ -19,23 +19,37 @@
 //     authoritative verdict ladder (diurnality, near-side cleanliness).
 // A link keeps its latest live evidence until the pass completes, then
 // carries the final verdict until a newer pass overwrites it.
+//
+// Epoch cost follows what changed, not fleet size.  Each VP's links live
+// in an immutable LinkShard; a fold rebuilds only the folded VP's shard
+// and merges its links into the maintained global rank order, and the
+// facility aggregates move by the folded VP's delta.  build() then freezes
+// an epoch by copying two handles: consecutive epochs share every shard no
+// fold replaced in between (tests/test_serve.cc pins that sharing and
+// holds every body to the copy-and-sort rebuild in tests/oracle/).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/campaign.h"
+#include "analysis/facility.h"
 #include "tslp/classifier.h"
 
 namespace ixp::serve {
 
-/// One monitored link's state inside a snapshot.
+/// One monitored link's state inside a snapshot.  Immutable once its fold
+/// has built it: every epoch until the VP's next fold shares the object.
 struct LinkState {
   std::string key;       ///< MonitorTarget key; the <id> in /api/v1/links/<id>
   std::string vp_name;
@@ -58,17 +72,121 @@ struct LinkState {
   tslp::Persistence persistence = tslp::Persistence::kNone;
   bool diurnal = false;
   bool near_clean = true;
-
+  // Computed once, by the fold that builds the state:
   /// Largest episode magnitude (0 when episode-free): the ranking key.
-  [[nodiscard]] double max_magnitude_ms() const;
+  double max_magnitude_ms = 0.0;
+  /// This link's `/api/v1/links/top` entry (the object without episodes).
+  std::string row_json;
+
   [[nodiscard]] bool congested() const {
     return has_verdict && verdict == tslp::Verdict::kCongested;
   }
 };
 
-/// One frozen epoch.  Everything a read needs is inside the object -- link
-/// states in rank order plus the pre-rendered Prometheus exposition -- so
-/// rendering any endpoint touches nothing outside the pinned pointer.
+/// One VP's share of one facility's aggregate.
+struct FacilityPart {
+  std::size_t links = 0;
+  std::size_t congested = 0;
+  std::size_t disrupted = 0;
+  double max_magnitude_ms = 0.0;
+};
+
+/// One VP's share of one IXP's `/api/v1/ixps/<id>/summary` counts.
+struct IxpPart {
+  std::size_t links = 0;
+  std::size_t classified = 0;  ///< with a final verdict
+  std::size_t congested = 0;
+  std::size_t potentially = 0;
+  std::size_t refused = 0;
+  std::size_t episodes = 0;
+  double max_magnitude_ms = 0.0;
+};
+
+/// One VP's links in rank order plus their facility and IXP
+/// contributions; built by a fold and never modified after.
+struct LinkShard {
+  std::vector<LinkState> links;
+  std::map<std::string, FacilityPart> facilities;  ///< facility -> this VP's share
+  std::size_t disrupted = 0;  ///< disrupted links, unassigned ones included
+  std::map<std::string, IxpPart, std::less<>> ixps;  ///< IXP -> this VP's share
+};
+
+/// An epoch's links in rank order: a read-only view over the shards it
+/// keeps alive.  Indexing and iteration yield `const LinkState&`.
+class RankedLinks {
+ public:
+  struct Frozen {
+    std::vector<const LinkState*> order;
+    std::vector<std::shared_ptr<const LinkShard>> shards;  ///< what `order` points into
+  };
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = LinkState;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const LinkState*;
+    using reference = const LinkState&;
+    const_iterator() = default;
+    explicit const_iterator(const LinkState* const* p) : p_(p) {}
+    reference operator*() const { return **p_; }
+    pointer operator->() const { return *p_; }
+    const_iterator& operator++() {
+      ++p_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const const_iterator t = *this;
+      ++p_;
+      return t;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    const LinkState* const* p_ = nullptr;
+  };
+
+  RankedLinks() = default;
+  explicit RankedLinks(std::shared_ptr<const Frozen> f) : f_(std::move(f)) {}
+
+  [[nodiscard]] std::size_t size() const { return f_ ? f_->order.size() : 0; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  const LinkState& operator[](std::size_t i) const { return *f_->order[i]; }
+  [[nodiscard]] const LinkState& front() const { return *f_->order.front(); }
+  [[nodiscard]] const_iterator begin() const {
+    return f_ ? const_iterator(f_->order.data()) : const_iterator();
+  }
+  [[nodiscard]] const_iterator end() const {
+    return f_ ? const_iterator(f_->order.data() + f_->order.size()) : const_iterator();
+  }
+  /// The same links shard by shard (VP-name order, each VP's links
+  /// contiguous): for reads that do not depend on rank order.
+  [[nodiscard]] std::span<const std::shared_ptr<const LinkShard>> shards() const {
+    return f_ ? std::span<const std::shared_ptr<const LinkShard>>(f_->shards)
+              : std::span<const std::shared_ptr<const LinkShard>>();
+  }
+
+ private:
+  std::shared_ptr<const Frozen> f_;
+};
+
+/// One colocation facility's aggregate.
+struct FacilityState {
+  /// Name, link and disrupted counts, and the facility-aggregation
+  /// detector's p-value and verdict (analysis/facility.h).
+  analysis::FacilityVerdict score;
+  std::size_t congested = 0;
+  double max_magnitude_ms = 0.0;
+  std::string json;  ///< its `/api/v1/facilities/top` entry
+};
+
+/// Facilities in analysis::facility_rank_less order of their scores.
+using FacilityTable = std::vector<std::shared_ptr<const FacilityState>>;
+
+/// One frozen epoch.  Everything a read needs is reachable from the object
+/// -- link states in rank order, facility aggregates, the pre-rendered
+/// Prometheus exposition -- so rendering any endpoint touches nothing
+/// outside the pinned pointer.
 struct Snapshot {
   std::uint64_t epoch = 0;  ///< 0 = the empty pre-first-publish snapshot
   std::uint64_t pass = 0;   ///< fleet pass the state came from (1-based)
@@ -76,7 +194,8 @@ struct Snapshot {
   bool final_pass = false;  ///< built from end-of-pass reports
   /// Rank order: congested links first, then by descending max episode
   /// magnitude, then (key, vp) for a total order.
-  std::vector<LinkState> links;
+  RankedLinks links;
+  std::shared_ptr<const FacilityTable> facilities;  ///< null = none yet
   std::string metrics_prom;  ///< Prometheus text of the campaign registry
   /// `/api/v1/links/top` at the default depth, rendered once at freeze
   /// time: the hottest read is a string copy off the pinned epoch instead
@@ -110,11 +229,16 @@ std::string render_facilities_top(const Snapshot& snap, std::size_t n);
 bool render_facility_summary(const Snapshot& snap, std::string_view facility, std::string* out);
 
 /// Accumulates detection state across folds and freezes epochs.  All
-/// methods serialize on an internal mutex; build() does not disturb the
-/// accumulated state, so the next fold continues from it.
+/// methods serialize on an internal mutex.  A fold copies and re-ranks only
+/// the folded VP's links, merges them into the global rank order (pointer
+/// moves) and moves the facility aggregates by that VP's delta.  build()
+/// copies two handles and does not disturb the accumulated state, so the
+/// next fold continues from it.
 class SnapshotBuilder {
  public:
-  /// Folds a live mid-campaign batch from `vp` (at IXP `ixp`).
+  /// Folds a live mid-campaign batch from `vp` (at IXP `ixp`).  Links absent
+  /// from the batch keep their state; a live fold never clears a final
+  /// verdict from an earlier pass.
   void fold_live(const std::string& vp, const std::string& ixp,
                  const analysis::LiveVerdictBatch& batch);
   /// Folds one VP's end-of-pass result: authoritative reports replace the
@@ -132,8 +256,25 @@ class SnapshotBuilder {
                                                       bool final_pass);
 
  private:
+  /// Runs `update` over a copy of `vp`'s links (keyed by link key), then
+  /// installs the result as the VP's new shard.  Holds the mutex.
+  template <class Update>
+  void fold(const std::string& vp, TimePoint at, const Update& update);
+  /// Moves the facility aggregates by `vp`'s delta from `old` to `next`.
+  void update_facilities(const std::string& vp, const LinkShard* old, const LinkShard& next);
+
   std::mutex mu_;
-  std::map<std::string, LinkState> links_;  ///< "<vp>/<key>" -> state
+  std::map<std::string, std::shared_ptr<const LinkShard>> shards_;  ///< by VP
+  std::shared_ptr<const RankedLinks::Frozen> ranking_;  ///< every shard's links, ranked
+  /// Per facility: each VP's share and the current aggregate.
+  struct Facility {
+    std::map<std::string, FacilityPart> by_vp;
+    std::shared_ptr<const FacilityState> state;
+  };
+  std::map<std::string, Facility> facilities_;
+  std::shared_ptr<const FacilityTable> facility_rank_;
+  std::size_t total_links_ = 0;      ///< the detector's substrate totals
+  std::size_t total_disrupted_ = 0;
   std::map<std::string, std::string> facility_of_;  ///< "<vp>/<far_asn>" -> facility
   std::uint64_t next_epoch_ = 1;
   std::uint64_t pass_ = 0;

@@ -169,7 +169,6 @@ class Network {
 
   // ---- Statistics -----------------------------------------------------------
 
-  std::uint64_t packets_forwarded = 0;  ///< nothing counts it: always 0
   std::uint64_t packets_dropped = 0;
   std::uint64_t icmp_generated = 0;
   std::uint64_t hops_walked = 0;  ///< link crossings

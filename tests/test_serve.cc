@@ -35,9 +35,11 @@
 #include "gtest/gtest.h"
 #include "net/http.h"
 #include "obs/export.h"
+#include "oracle/snapshot_oracle.h"
 #include "serve/serve.h"
 #include "serve/snapshot.h"
 #include "util/fault_plan.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -467,7 +469,7 @@ TEST(Snapshot, BuilderFoldsLiveThenFinal) {
   ASSERT_FALSE(fin->links.empty());
   EXPECT_EQ(fin->links[0].key, "L0");
   EXPECT_TRUE(fin->links[0].congested());
-  EXPECT_DOUBLE_EQ(fin->links[0].max_magnitude_ms(), 30.0);
+  EXPECT_DOUBLE_EQ(fin->links[0].max_magnitude_ms, 30.0);
   // The pinned older epoch is untouched by the newer publish.
   EXPECT_EQ(live->epoch, 1u);
   EXPECT_FALSE(live->links[0].has_verdict);
@@ -595,6 +597,354 @@ TEST(Snapshot, ReadersObserveByteIdenticalEpochsUnderConcurrentPublishes) {
     }
   }
   EXPECT_GT(shared_epochs, 0u);  // the threads really did overlap
+}
+
+// ---------------------------------------------------------------------------
+// Incremental builder vs the copy-and-sort oracle
+// ---------------------------------------------------------------------------
+
+/// A seeded stream of folds over many VPs.  Link keys repeat across VPs and
+/// magnitudes come from a small set, so rank ties fall through to the
+/// (key, vp) tie-break; facilities span VPs; link sets grow during the
+/// first pass; and whole facilities go dark and recover, flipping the
+/// facility detector's verdicts and the substrate totals.
+class FoldScript {
+ public:
+  static constexpr int kVps = 24;
+  static constexpr int kLinksPerVp = 10;
+  static constexpr int kFacilities = 9;
+
+  explicit FoldScript(std::uint64_t seed) : rng_(seed) {}
+
+  static std::string vp(int v) { return "VP" + std::to_string(v); }
+  /// In pass 3 odd VPs report a different IXP, so links absent from a
+  /// batch keep the old one and a VP's links span two IXPs.
+  static std::string ixp(int v, int pass = 1) {
+    return "IXP" + std::to_string((pass == 3 && v % 2 == 1 ? v + 1 : v) % 6);
+  }
+  static std::uint32_t asn(int i) { return 65000 + static_cast<std::uint32_t>(i); }
+  static std::string facility(int f) { return "FAC-" + std::to_string(f); }
+
+  /// Most links homed at one of kFacilities (shared across VPs), a few
+  /// unassigned.
+  static std::map<std::string, std::string> facility_map() {
+    std::map<std::string, std::string> m;
+    for (int v = 0; v < kVps; ++v) {
+      for (int i = 0; i < kLinksPerVp; ++i) {
+        if ((v + i) % 5 == 4) continue;
+        m[vp(v) + "/" + std::to_string(asn(i))] = facility((v * 3 + i) % kFacilities);
+      }
+    }
+    return m;
+  }
+
+  void next_epoch() {
+    // A facility outage or a recovery, now and then.
+    if (rng_.chance(0.25)) dark_ = static_cast<int>(rng_.uniform_int(-1, kFacilities - 1));
+    ++day_;
+  }
+
+  std::vector<tslp::Episode> episodes() {
+    static constexpr double kMagnitudes[] = {5.0, 10.0, 20.0};
+    std::vector<tslp::Episode> out;
+    const auto n = rng_.uniform_int(0, 2);
+    for (std::int64_t k = 0; k < n; ++k) {
+      tslp::Episode e;
+      e.begin = static_cast<std::size_t>(10 * k);
+      e.end = e.begin + 5;
+      e.magnitude_ms = kMagnitudes[rng_.uniform_int(0, 2)];
+      e.p_value = 1e-6;
+      out.push_back(e);
+    }
+    return out;
+  }
+
+  double coverage(int v, int i) {
+    const std::string f = facility((v * 3 + i) % kFacilities);
+    if ((v + i) % 5 != 4 && dark_ >= 0 && f == facility(dark_)) return 0.3;
+    return rng_.chance(0.05) ? 0.8 : 0.99;
+  }
+
+  /// Pass 1 starts each VP with a few links and adds more as days go by.
+  int visible_links(int pass) const {
+    return pass > 1 ? kLinksPerVp : std::min(kLinksPerVp, 3 + day_ / 4);
+  }
+
+  analysis::LiveVerdictBatch live(int v, int pass) {
+    analysis::LiveVerdictBatch b;
+    b.vp_name = vp(v);
+    b.ixp = ixp(v);
+    b.at = TimePoint(kDay * day_);
+    const int n = visible_links(pass);
+    for (int i = 0; i < n; ++i) {
+      if (rng_.chance(0.2)) continue;  // absent from this batch: keeps its state
+      analysis::LiveLinkVerdict l;
+      l.key = "L" + std::to_string(i);
+      l.far_asn = asn(i);
+      l.at_ixp = i % 3 != 0;
+      l.samples = static_cast<std::size_t>(day_ * 48 + i);
+      l.far.baseline_ms = 1.0 + 0.5 * static_cast<double>(i % 4);
+      l.far.coverage = coverage(v, i);
+      l.far.refused_low_coverage = rng_.chance(0.03);
+      l.far.episodes = episodes();
+      b.links.push_back(std::move(l));
+    }
+    return b;
+  }
+
+  analysis::VpCampaignResult final_result(int v) {
+    static constexpr tslp::Verdict kVerdicts[] = {
+        tslp::Verdict::kNotCongested, tslp::Verdict::kPotentiallyCongested,
+        tslp::Verdict::kInconclusive, tslp::Verdict::kCongested};
+    analysis::VpCampaignResult r;
+    for (int i = 0; i < kLinksPerVp; ++i) {
+      tslp::LinkSeries ls;
+      ls.key = "L" + std::to_string(i);
+      ls.far_asn = asn(i);
+      ls.at_ixp = i % 3 != 0;
+      r.series.push_back(ls);
+      tslp::LinkReport rep;
+      rep.key = ls.key;
+      rep.verdict = kVerdicts[rng_.uniform_int(0, 3)];
+      rep.persistence = rng_.chance(0.5) ? tslp::Persistence::kSustained
+                                         : tslp::Persistence::kTransient;
+      rep.near_clean = rng_.chance(0.8);
+      rep.diurnal.recurring = rng_.chance(0.3);
+      rep.far_shifts.baseline_ms = 2.0;
+      rep.far_shifts.coverage = coverage(v, i);
+      rep.far_shifts.refused_low_coverage = rng_.chance(0.03);
+      rep.far_shifts.episodes = episodes();
+      r.reports.push_back(std::move(rep));
+    }
+    return r;
+  }
+
+  int pick_vp() { return static_cast<int>(rng_.uniform_int(0, kVps - 1)); }
+
+ private:
+  Rng rng_;
+  int day_ = 0;
+  int dark_ = -1;
+};
+
+/// Every body the daemon serves from `snap`, each against the oracle's.
+/// Returns the number of mismatching bodies (each also reported).
+int compare_bodies(const Snapshot& snap, const oracle::RebuiltEpoch& ref) {
+  int bad = 0;
+  auto same = [&](const std::string& what, const std::string& got, const std::string& want) {
+    if (got == want) return;
+    ++bad;
+    ADD_FAILURE() << "epoch " << ref.epoch << " " << what << "\n got: " << got
+                  << "\nwant: " << want;
+  };
+  auto same_found = [&](const std::string& what, bool got_ok, const std::string& got,
+                        bool want_ok, const std::string& want) {
+    if (got_ok != want_ok) {
+      ++bad;
+      ADD_FAILURE() << "epoch " << ref.epoch << " " << what << " found " << got_ok
+                    << ", oracle " << want_ok;
+    } else if (got_ok) {
+      same(what, got, want);
+    }
+  };
+  if (snap.links.size() != ref.links.size()) {
+    ++bad;
+    ADD_FAILURE() << "epoch " << ref.epoch << " links " << snap.links.size() << " vs "
+                  << ref.links.size();
+  }
+  same("links_top_default", snap.links_top_default, ref.links_top_default);
+  same("facilities_top_default", snap.facilities_top_default, ref.facilities_top_default);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{20}, ref.links.size() + 1}) {
+    same("links/top n=" + std::to_string(n), render_links_top(snap, n),
+         oracle::render_links_top(ref, n));
+  }
+  same("facilities/top all", render_facilities_top(snap, 1000),
+       oracle::render_facilities_top(ref, 1000));
+  std::string got, want;
+  for (int v = 0; v <= FoldScript::kVps; ++v) {  // kVps % 6: one unknown IXP too
+    const std::string ixp = "IXP" + std::to_string(v);
+    const bool g = render_ixp_summary(snap, ixp, &got);
+    same_found("ixp " + ixp, g, got, oracle::render_ixp_summary(ref, ixp, &want), want);
+  }
+  for (int i = 0; i <= FoldScript::kLinksPerVp; ++i) {
+    const std::string key = "L" + std::to_string(i);
+    const bool g = render_link_episodes(snap, key, &got);
+    same_found("episodes " + key, g, got, oracle::render_link_episodes(ref, key, &want), want);
+  }
+  for (int f = 0; f <= FoldScript::kFacilities; ++f) {
+    const std::string name = FoldScript::facility(f);
+    const bool g = render_facility_summary(snap, name, &got);
+    same_found("facility " + name, g, got, oracle::render_facility_summary(ref, name, &want),
+               want);
+  }
+  return bad;
+}
+
+TEST(Snapshot, IncrementalMatchesFullRebuild) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    FoldScript script(seed);
+    SnapshotBuilder builder;
+    oracle::RebuildBuilder ref;
+    builder.set_facilities(FoldScript::facility_map());
+    ref.set_facilities(FoldScript::facility_map());
+    int epochs = 0, bad = 0;
+    std::set<std::string> flagged_sets;  // distinct facilities/top verdict patterns seen
+    auto freeze = [&](bool final_pass) {
+      const auto snap = builder.build("", final_pass);
+      const oracle::RebuiltEpoch want = ref.build(final_pass);
+      ASSERT_EQ(snap->epoch, want.epoch);
+      bad += compare_bodies(*snap, want);
+      ++epochs;
+      std::string flagged;
+      if (snap->facilities) {
+        for (const auto& f : *snap->facilities) {
+          if (f->score.disrupted_verdict) flagged += f->score.facility + ",";
+        }
+      }
+      flagged_sets.insert(flagged);
+    };
+    for (int pass = 1; pass <= 3; ++pass) {
+      builder.begin_pass(static_cast<std::uint64_t>(pass));
+      ref.begin_pass(static_cast<std::uint64_t>(pass));
+      for (int step = 0; step < 60; ++step) {
+        script.next_epoch();
+        const int v = script.pick_vp();
+        const auto batch = script.live(v, pass);
+        builder.fold_live(FoldScript::vp(v), FoldScript::ixp(v, pass), batch);
+        ref.fold_live(FoldScript::vp(v), FoldScript::ixp(v, pass), batch);
+        freeze(false);
+      }
+      for (int v = 0; v < FoldScript::kVps; ++v) {
+        const auto result = script.final_result(v);
+        builder.fold_final(FoldScript::vp(v), FoldScript::ixp(v, pass), result);
+        ref.fold_final(FoldScript::vp(v), FoldScript::ixp(v, pass), result);
+        if (v % 8 == 7) freeze(false);
+      }
+      freeze(true);
+    }
+    EXPECT_EQ(bad, 0);
+    EXPECT_EQ(epochs, 3 * (60 + 3 + 1));
+    // The script really flips facility verdicts (and so the totals).
+    EXPECT_GE(flagged_sets.size(), 3u);
+  }
+}
+
+TEST(Snapshot, UnchangedShardsAreShared) {
+  FoldScript script(7);
+  SnapshotBuilder builder;
+  builder.set_facilities(FoldScript::facility_map());
+  for (int v = 0; v < FoldScript::kVps; ++v) {
+    builder.fold_final(FoldScript::vp(v), FoldScript::ixp(v), script.final_result(v));
+  }
+  const auto before = builder.build("", false);
+  const int a = 5;
+  builder.fold_live(FoldScript::vp(a), FoldScript::ixp(a), script.live(a, 2));
+  const auto after = builder.build("", false);
+  ASSERT_EQ(before->links.size(), after->links.size());
+
+  std::map<std::pair<std::string, std::string>, const LinkState*> at_before;
+  for (const LinkState& l : before->links) at_before[{l.vp_name, l.key}] = &l;
+  std::size_t shared = 0;
+  for (const LinkState& l : after->links) {
+    const LinkState* prev = at_before.at({l.vp_name, l.key});
+    if (l.vp_name == FoldScript::vp(a)) {
+      EXPECT_NE(prev, &l) << "the folded VP gets a new shard";
+    } else {
+      EXPECT_EQ(prev, &l) << l.vp_name << "/" << l.key << " was copied";
+      ++shared;
+    }
+  }
+  EXPECT_EQ(shared, before->links.size() - FoldScript::kLinksPerVp);
+}
+
+// 4 writer threads fold disjoint VPs and publish while readers pin and
+// render (check_sanitize_thread runs this under TSan).  Every pinned epoch
+// renders the same bytes twice, and the last epoch matches the oracle fed
+// the same folds serially.
+TEST(Snapshot, ConcurrentFoldsAndPins) {
+  constexpr int kWriters = 4;
+  constexpr int kVpsPerWriter = 6;
+  constexpr int kFolds = 40;
+  SnapshotBuilder builder;
+  SnapshotStore store;
+  builder.set_facilities(FoldScript::facility_map());
+  builder.begin_pass(1);
+
+  // Each writer's batches, generated up front so the oracle sees the same.
+  std::vector<std::vector<std::pair<int, analysis::LiveVerdictBatch>>> plan(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    FoldScript script(100 + static_cast<std::uint64_t>(w));
+    for (int k = 0; k < kFolds; ++k) {
+      script.next_epoch();
+      const int v = w * kVpsPerWriter + k % kVpsPerWriter;
+      plan[w].emplace_back(v, script.live(v, 2));
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> pins{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const std::shared_ptr<const Snapshot> snap = store.current();
+        const std::string links = render_links_top(*snap, 1000);
+        const std::string facilities = render_facilities_top(*snap, 1000);
+        std::string summary;
+        (void)render_facility_summary(*snap, FoldScript::facility(0), &summary);
+        if (render_links_top(*snap, 1000) != links ||
+            render_facilities_top(*snap, 1000) != facilities) {
+          mismatches.fetch_add(1);
+        }
+        for (std::size_t i = 1; i < snap->links.size(); ++i) {
+          const LinkState& x = snap->links[i - 1];
+          const LinkState& y = snap->links[i];
+          if ((!x.congested() && y.congested()) ||
+              (x.congested() == y.congested() && x.max_magnitude_ms < y.max_magnitude_ms)) {
+            mismatches.fetch_add(1);  // rank order broken
+          }
+        }
+        pins.fetch_add(1);
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (const auto& [v, batch] : plan[w]) {
+        builder.fold_live(FoldScript::vp(v), FoldScript::ixp(v), batch);
+        store.publish(builder.build("", false));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(pins.load(), 0);
+
+  oracle::RebuildBuilder ref;
+  ref.set_facilities(FoldScript::facility_map());
+  ref.begin_pass(1);
+  for (int w = 0; w < kWriters; ++w) {
+    for (const auto& [v, batch] : plan[w]) {
+      ref.fold_live(FoldScript::vp(v), FoldScript::ixp(v), batch);
+    }
+  }
+  const auto last = builder.build("", false);
+  const oracle::RebuiltEpoch want = ref.build(false);
+  EXPECT_EQ(last->epoch, static_cast<std::uint64_t>(kWriters * kFolds + 1));
+  // The epoch number differs (one oracle build); the rest of each body not.
+  auto tail = [](const std::string& body, const char* from) {
+    return body.substr(body.find(from));
+  };
+  EXPECT_EQ(tail(render_links_top(*last, 1000), "\"sim_time\""),
+            tail(oracle::render_links_top(want, 1000), "\"sim_time\""));
+  EXPECT_EQ(tail(render_facilities_top(*last, 1000), "\"sim_time\""),
+            tail(oracle::render_facilities_top(want, 1000), "\"sim_time\""));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 #
 # Configures a second build tree with -DIXP_COVERAGE=ON (gcov
 # instrumentation, -O0), builds and runs the suites that exercise the
-# detector and the fault layer, then aggregates gcov "Lines executed"
-# over every .cc under src/tslp and src/sim.  The check fails when the
-# aggregate line coverage drops below the floor: that is the signal that
-# someone grew the detector or the fault injector without growing the
-# tests that pin its behaviour.
+# detector, the fault layer and the serving layer, then aggregates gcov
+# "Lines executed" over every .cc under src/tslp, src/sim and src/serve.
+# The check fails when the aggregate line coverage drops below the floor:
+# that is the signal that someone grew the detector, the fault injector or
+# the epoch builder without growing the tests that pin its behaviour.
 #
 # The build tree is reused across runs, so only the first invocation pays
 # the full compile.  When gcov is missing the check is SKIPPED, not
@@ -61,13 +61,13 @@ for s in $suites; do
     fi
 done
 
-# --- Aggregate gcov line coverage over src/tslp + src/sim -----------------
+# --- Aggregate gcov line coverage over src/tslp + src/sim + src/serve ------
 # Each .cc is compiled exactly once into its library, so every source file
 # contributes one File/Lines pair; headers are skipped to avoid counting
 # the same inline code once per including translation unit.
-gcda_list=$(find "$build/src/tslp" "$build/src/sim" -name '*.gcda' | sort)
+gcda_list=$(find "$build/src/tslp" "$build/src/sim" "$build/src/serve" -name '*.gcda' | sort)
 if [ -z "$gcda_list" ]; then
-    echo "check_coverage: FAILED (no .gcda files under src/tslp + src/sim)" >&2
+    echo "check_coverage: FAILED (no .gcda files under src/tslp + src/sim + src/serve)" >&2
     exit 1
 fi
 # shellcheck disable=SC2086  # word-splitting the file list is intended
@@ -77,7 +77,7 @@ if ! awk '
     /^Lines executed:/ {
         # gcov ends with a grand-total line that has no File header; the
         # cleared f skips it (and any other headerless summary line).
-        ok = (f ~ /src\/(tslp|sim)\/[^\/]*\.cc$/); file = f; f = ""
+        ok = (f ~ /src\/(tslp|sim|serve)\/[^\/]*\.cc$/); file = f; f = ""
         if (!ok) next
         pct = $0; sub(/^Lines executed:/, "", pct); sub(/%.*/, "", pct)
         n = $0;   sub(/.* of /, "", n)
