@@ -91,17 +91,10 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   bdrmap::BdrmapResult borders = run_bdrmap();
 
   std::vector<prober::MonitorTarget> targets = to_targets(borders, rt.vp_asn);
-  // Sample accumulation: either raw per-link vectors (`series`, the
-  // paper-scale default) or the columnar store (bounded-RSS substrate
-  // path).  Exactly one of the two is populated.
-  std::vector<tslp::LinkSeries> series;
-  std::shared_ptr<series::SeriesStore> store;
-  if (opt.columnar) {
-    store = std::make_shared<series::SeriesStore>(start, opt.round_interval);
-  }
-  auto to_meta = [](const prober::MonitorTarget& t) {
-    return series::LinkMeta{t.key, t.near_ip, t.far_ip, t.near_asn, t.far_asn, t.at_ixp};
-  };
+  // Every segment's samples stream into the columnar store; the store is
+  // the only accumulator.  CampaignOptions::columnar decides only the shape
+  // the samples are handed back in (see the final classification below).
+  const auto store = std::make_shared<series::SeriesStore>(start, opt.round_interval);
 
   // Final classification runs at the 5 ms floor (threshold sweeps re-filter
   // episodes by magnitude afterwards); computed up front because the online
@@ -111,45 +104,32 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   tslp::LevelShiftOptions online_near_opts = final_opts.level_shift;
   online_near_opts.threshold_ms = final_opts.near_threshold_ms;
   std::vector<tslp::OnlineLevelShift> online_near, online_far;
-  auto add_online = [&](std::uint64_t lead_missing) {
-    if (!opt.online) return;
-    online_near.emplace_back(online_near_opts, start, opt.round_interval);
-    online_far.emplace_back(final_opts.level_shift, start, opt.round_interval);
-    if (lead_missing > 0) {
-      const std::vector<double> pad(lead_missing, tslp::kMissing);
-      online_near.back().push(pad);
-      online_far.back().push(pad);
-    }
-  };
 
   // Responder-identity change rounds per link, accumulated across segments
   // in campaign-global round indices (the driver reports segment-relative
   // ones).  Feeds the reroute-vs-congestion cross-check after final
-  // classification, in both raw and columnar accumulation modes.
+  // classification.
   std::vector<std::vector<std::size_t>> responder_rounds;
 
   std::set<net::Ipv4Address> known_far;
-  for (const auto& t : targets) {
+  // Registers a monitored link.  A link discovered mid-campaign joins the
+  // store and the online detectors with its past as one missing run.
+  auto add_link = [&](const prober::MonitorTarget& t) {
+    const std::uint64_t elapsed = store->size() > 0 ? store->samples(0) : 0;
     known_far.insert(t.far_ip);
     responder_rounds.emplace_back();
-    add_online(0);
-    if (store != nullptr) {
-      store->add_link(to_meta(t));
-      continue;
+    store->add_link(series::LinkMeta{t.key, t.near_ip, t.far_ip, t.near_asn, t.far_asn, t.at_ixp},
+                    elapsed);
+    if (!opt.online) return;
+    online_near.emplace_back(online_near_opts, start, opt.round_interval);
+    online_far.emplace_back(final_opts.level_shift, start, opt.round_interval);
+    if (elapsed > 0) {
+      const std::vector<double> pad(elapsed, tslp::kMissing);
+      online_near.back().push(pad);
+      online_far.back().push(pad);
     }
-    tslp::LinkSeries ls;
-    ls.key = t.key;
-    ls.near_ip = t.near_ip;
-    ls.far_ip = t.far_ip;
-    ls.near_asn = t.near_asn;
-    ls.far_asn = t.far_asn;
-    ls.at_ixp = t.at_ixp;
-    ls.near_rtt.start = start;
-    ls.near_rtt.interval = opt.round_interval;
-    ls.far_rtt.start = start;
-    ls.far_rtt.interval = opt.round_interval;
-    series.push_back(std::move(ls));
-  }
+  };
+  for (const auto& t : targets) add_link(t);
 
   // ---- Segment boundaries: membership changes and snapshots ---------------
   std::vector<TimePoint> boundaries;
@@ -172,6 +152,12 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   const geo::GeoDatabase geo_db = geo::build_geo_database(rt.topology);
   const geo::DnsLite dns(rt.topology);
 
+  // Buffers shared by the sweeps over the store below (snapshots, live
+  // verdicts, final classification): each decodes one link at a time, so
+  // the working set stays a single series regardless of fleet scale.
+  std::vector<double> near_buf, far_buf;
+  tslp::LinkSeries window;
+  tslp::DetectScratch scratch;
   auto record_snapshot = [&](TimePoint at, const bdrmap::BdrmapResult& b) {
     SnapshotResult snap;
     snap.at = at;
@@ -189,27 +175,25 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
         static_cast<std::size_t>((kDay * 2).count() / opt.round_interval.count());
     const std::size_t window_samples =
         static_cast<std::size_t>((kDay * 60).count() / opt.round_interval.count());
-    const std::size_t link_count = store != nullptr ? store->size() : series.size();
-    for (std::size_t li = 0; li < link_count; ++li) {
-      // Columnar mode decodes one link at a time, so the snapshot's
-      // working set stays a single series regardless of fleet scale.
-      const tslp::LinkSeries decoded =
-          store != nullptr ? store->decode(li) : tslp::LinkSeries{};
-      const tslp::LinkSeries& ls = store != nullptr ? decoded : series[li];
-      if (!live.count(ls.far_ip)) continue;
-      const std::size_t n = std::min<std::size_t>(ls.far_rtt.index_of(at), ls.far_rtt.ms.size());
+    const tslp::SeriesView grid{{}, start, opt.round_interval};
+    for (std::size_t li = 0; li < store->size(); ++li) {
+      const series::LinkMeta& m = store->meta(li);
+      if (!live.count(m.far_ip)) continue;
+      const std::size_t n =
+          std::min<std::size_t>(grid.index_of(at), static_cast<std::size_t>(store->samples(li)));
       if (n < min_samples) continue;  // not enough data to judge
       const std::size_t begin = n > window_samples ? n - window_samples : 0;
-      tslp::LinkSeries window = ls;
-      window.near_rtt.start = ls.near_rtt.time_of(begin);
+      store->decode_into(li, near_buf, far_buf);
+      window.key = m.key;
+      window.near_rtt.start = grid.time_of(begin);
+      window.near_rtt.interval = opt.round_interval;
       window.far_rtt.start = window.near_rtt.start;
-      window.near_rtt.ms.assign(ls.near_rtt.ms.begin() + static_cast<std::ptrdiff_t>(begin),
-                                ls.near_rtt.ms.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(n, ls.near_rtt.ms.size())));
-      window.far_rtt.ms.assign(ls.far_rtt.ms.begin() + static_cast<std::ptrdiff_t>(begin),
-                               ls.far_rtt.ms.begin() + static_cast<std::ptrdiff_t>(n));
-      const auto rep = classifier.classify(window);
-      if (rep.congested()) ++snap.congested_links;
+      window.far_rtt.interval = opt.round_interval;
+      window.near_rtt.ms.assign(near_buf.begin() + static_cast<std::ptrdiff_t>(begin),
+                                near_buf.begin() + static_cast<std::ptrdiff_t>(n));
+      window.far_rtt.ms.assign(far_buf.begin() + static_cast<std::ptrdiff_t>(begin),
+                               far_buf.begin() + static_cast<std::ptrdiff_t>(n));
+      if (classifier.classify(window).congested()) ++snap.congested_links;
     }
     // Location cross-check over the inferred peering links.
     std::size_t checked = 0, consistent = 0;
@@ -249,12 +233,9 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
           ->set(opt.faults->counters().probes_suppressed);
       reg->counter(metric::kOutageRounds)->set(opt.faults->counters().outage_rounds);
     }
-    if (store != nullptr) {
-      reg->gauge(metric::kSeriesResidentBytes)
-          ->set(static_cast<double>(store->resident_bytes()));
-      reg->gauge(metric::kSeriesRawBytes)->set(static_cast<double>(store->raw_bytes()));
-      reg->counter(metric::kSeriesSamples)->set(store->samples_total());
-    }
+    reg->gauge(metric::kSeriesResidentBytes)->set(static_cast<double>(store->resident_bytes()));
+    reg->gauge(metric::kSeriesRawBytes)->set(static_cast<double>(store->raw_bytes()));
+    reg->counter(metric::kSeriesSamples)->set(store->samples_total());
   };
 
   auto report_progress = [&](TimePoint at, bool finished) {
@@ -267,39 +248,23 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   // detector against its series-so-far.  The window scans already ran as
   // rounds completed, so this is only the assembly tail per link; finalize
   // does not mutate the detector, so later segments keep pushing into it.
-  tslp::DetectScratch verdict_scratch;
-  std::vector<double> verdict_near_buf, verdict_far_buf;
   auto report_verdicts = [&](TimePoint at) {
     if (!opt.online || !opt.on_verdicts) return;
     LiveVerdictBatch batch;
     batch.vp_name = spec.vp_name;
     batch.ixp = spec.ixp.name;
     batch.at = at;
-    const std::size_t link_count = store != nullptr ? store->size() : series.size();
-    batch.links.reserve(link_count);
-    for (std::size_t i = 0; i < link_count; ++i) {
+    batch.links.reserve(store->size());
+    for (std::size_t i = 0; i < store->size(); ++i) {
+      store->decode_into(i, near_buf, far_buf);
+      const series::LinkMeta& m = store->meta(i);
       LiveLinkVerdict v;
-      if (store != nullptr) {
-        store->decode_into(i, verdict_near_buf, verdict_far_buf);
-        const series::LinkMeta& m = store->meta(i);
-        v.key = m.key;
-        v.far_asn = m.far_asn;
-        v.at_ixp = m.at_ixp;
-        v.samples = verdict_far_buf.size();
-        tslp::RttSeries tmp;
-        tmp.start = store->start();
-        tmp.interval = store->interval();
-        tmp.ms = std::move(verdict_far_buf);
-        v.far = online_far[i].finalize(tslp::view_of(tmp), verdict_scratch);
-        verdict_far_buf = std::move(tmp.ms);  // reuse the buffer next link
-      } else {
-        const tslp::LinkSeries& ls = series[i];
-        v.key = ls.key;
-        v.far_asn = ls.far_asn;
-        v.at_ixp = ls.at_ixp;
-        v.samples = ls.far_rtt.ms.size();
-        v.far = online_far[i].finalize(tslp::view_of(ls.far_rtt), verdict_scratch);
-      }
+      v.key = m.key;
+      v.far_asn = m.far_asn;
+      v.at_ixp = m.at_ixp;
+      v.samples = far_buf.size();
+      v.far = online_far[i].finalize(tslp::SeriesView{far_buf, start, opt.round_interval},
+                                     scratch);
       batch.links.push_back(std::move(v));
     }
     opt.on_verdicts(batch);
@@ -343,27 +308,15 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
         opt.metrics->span(metric::kSegmentSpan)->record(b - t);
       }
       for (std::size_t i = 0; i < segment.size(); ++i) {
-        if (!segment[i].responder_changes.empty()) {
-          const std::size_t base = store != nullptr
-                                       ? static_cast<std::size_t>(store->samples(i))
-                                       : series[i].far_rtt.ms.size();
-          for (const std::size_t rr : segment[i].responder_changes) {
-            responder_rounds[i].push_back(base + rr);
-          }
+        const auto base = static_cast<std::size_t>(store->samples(i));
+        for (const std::size_t rr : segment[i].responder_changes) {
+          responder_rounds[i].push_back(base + rr);
         }
         if (opt.online) {
           online_near[i].push(segment[i].near_rtt.ms);
           online_far[i].push(segment[i].far_rtt.ms);
         }
-        if (store != nullptr) {
-          store->append(i, segment[i].near_rtt.ms, segment[i].far_rtt.ms);
-          continue;
-        }
-        auto& acc = series[i];
-        acc.near_rtt.ms.insert(acc.near_rtt.ms.end(), segment[i].near_rtt.ms.begin(),
-                               segment[i].near_rtt.ms.end());
-        acc.far_rtt.ms.insert(acc.far_rtt.ms.end(), segment[i].far_rtt.ms.begin(),
-                              segment[i].far_rtt.ms.end());
+        store->append(i, segment[i].near_rtt.ms, segment[i].far_rtt.ms);
       }
       t = b;
     }
@@ -372,39 +325,8 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     borders = run_bdrmap();
     for (const auto& nt : to_targets(borders, rt.vp_asn)) {
       if (known_far.count(nt.far_ip)) continue;
-      known_far.insert(nt.far_ip);
+      add_link(nt);
       targets.push_back(nt);
-      responder_rounds.emplace_back();
-      // Like the sample accumulators, a link discovered mid-campaign joins
-      // the online detectors with its past padded as one missing run.
-      if (store != nullptr) {
-        add_online(store->size() > 0 ? store->samples(0) : 0);
-      } else {
-        add_online(series.empty() ? 0 : series.front().far_rtt.ms.size());
-      }
-      if (store != nullptr) {
-        // Pad the past with a leading gap run (a handful of bytes, vs. the
-        // raw path's 8 bytes per elapsed round).
-        const std::uint64_t elapsed = store->size() > 0 ? store->samples(0) : 0;
-        store->add_link(to_meta(nt), elapsed);
-        continue;
-      }
-      tslp::LinkSeries ls;
-      ls.key = nt.key;
-      ls.near_ip = nt.near_ip;
-      ls.far_ip = nt.far_ip;
-      ls.near_asn = nt.near_asn;
-      ls.far_asn = nt.far_asn;
-      ls.at_ixp = nt.at_ixp;
-      ls.near_rtt.start = start;
-      ls.near_rtt.interval = opt.round_interval;
-      ls.far_rtt.start = start;
-      ls.far_rtt.interval = opt.round_interval;
-      // Pad the past with missing samples.
-      const std::size_t elapsed = series.empty() ? 0 : series.front().far_rtt.ms.size();
-      ls.near_rtt.ms.assign(elapsed, tslp::kMissing);
-      ls.far_rtt.ms.assign(elapsed, tslp::kMissing);
-      series.push_back(std::move(ls));
     }
     if (snapshot_set.count(b)) record_snapshot(b, borders);
     report_verdicts(b);
@@ -416,96 +338,50 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   }
 
   // ---- Final classification (5 ms floor for threshold sweeps) --------------
+  // Decode-classify one link at a time.  Online campaigns already ran the
+  // window scans as rounds completed, so they only replay the assembly
+  // tail against the decoded series; offline ones detect here.  The two
+  // are byte-identical.  The far-RTT histogram is observed on the way, so
+  // the samples are decoded once.
   tslp::CongestionClassifier final_classifier(final_opts);
-  if (opt.online) {
-    // The window scans already ran as rounds completed; replay only the
-    // assembly tail against a transient view of each full series (decoded
-    // into one reusable buffer pair in columnar mode) and classify from
-    // the finalized shifts.  Byte-identical to the offline branches below.
-    obs::Histogram* rtt_hist =
-        store != nullptr && opt.metrics != nullptr
-            ? opt.metrics->histogram(metric::kFarRttMs, {5, 10, 20, 50, 100, 200, 500, 1000})
-            : nullptr;
-    tslp::DetectScratch scratch;
-    std::vector<double> near_buf, far_buf;
-    const std::size_t link_count = store != nullptr ? store->size() : series.size();
-    result.reports.reserve(link_count);
-    for (std::size_t i = 0; i < link_count; ++i) {
-      tslp::LinkSeries decoded;
-      const tslp::LinkSeries* ls = &decoded;
-      if (store != nullptr) {
-        store->decode_into(i, near_buf, far_buf);
-        const series::LinkMeta& m = store->meta(i);
-        decoded.key = m.key;
-        decoded.near_ip = m.near_ip;
-        decoded.far_ip = m.far_ip;
-        decoded.near_asn = m.near_asn;
-        decoded.far_asn = m.far_asn;
-        decoded.at_ixp = m.at_ixp;
-        decoded.near_rtt.start = store->start();
-        decoded.near_rtt.interval = store->interval();
-        decoded.far_rtt.start = store->start();
-        decoded.far_rtt.interval = store->interval();
-        decoded.near_rtt.ms = std::move(near_buf);
-        decoded.far_rtt.ms = std::move(far_buf);
-      } else {
-        ls = &series[i];
-      }
-      result.reports.push_back(final_classifier.classify_with_shifts(
-          *ls, online_far[i].finalize(tslp::view_of(ls->far_rtt), scratch),
-          online_near[i].finalize(tslp::view_of(ls->near_rtt), scratch)));
-      if (store != nullptr) {
-        if (rtt_hist != nullptr) {
-          for (const double ms : decoded.far_rtt.ms) rtt_hist->observe(ms);
-        }
-        // Hand the buffers back for the next link, then keep metadata only.
-        near_buf = std::move(decoded.near_rtt.ms);
-        far_buf = std::move(decoded.far_rtt.ms);
-        decoded.near_rtt.ms = {};
-        decoded.far_rtt.ms = {};
-        result.series.push_back(std::move(decoded));
-      }
+  obs::Histogram* rtt_hist =
+      opt.metrics != nullptr
+          ? opt.metrics->histogram(metric::kFarRttMs, {5, 10, 20, 50, 100, 200, 500, 1000})
+          : nullptr;
+  tslp::LinkSeries decoded;
+  result.reports.reserve(store->size());
+  result.series.reserve(store->size());
+  for (std::size_t i = 0; i < store->size(); ++i) {
+    store->decode_into(i, decoded);
+    tslp::LinkReport report =
+        opt.online
+            ? final_classifier.classify_with_shifts(
+                  decoded, online_far[i].finalize(tslp::view_of(decoded.far_rtt), scratch),
+                  online_near[i].finalize(tslp::view_of(decoded.near_rtt), scratch))
+            : final_classifier.classify(decoded);
+    if (rtt_hist != nullptr) {
+      for (const double ms : decoded.far_rtt.ms) rtt_hist->observe(ms);  // NaN = missing round
     }
-    if (store != nullptr) {
-      result.columns = store;
-    } else {
-      result.series = std::move(series);
+    // Reroute-vs-congestion cross-check: a verdict whose every far episode
+    // begins at a responder-identity change is explained by the path
+    // moving under the monitor, not by queueing -- downgrade it (the
+    // scenario diversity pack's discrimination requirement; see
+    // tslp::crosscheck_reroute).
+    decoded.responder_changes = std::move(responder_rounds[i]);
+    tslp::crosscheck_reroute(report, decoded.responder_changes);
+    result.reports.push_back(std::move(report));
+    result.series.push_back(std::move(decoded));
+    if (opt.columnar) {
+      // The samples stay in the store: keep metadata only and take the
+      // buffers back for the next link.  Swapping with the moved-from
+      // (empty) vectors leaves the result holding no sample capacity;
+      // `ms = {}` would clear the samples but keep the allocation.
+      tslp::LinkSeries& head = result.series.back();
+      std::swap(decoded.near_rtt.ms, head.near_rtt.ms);
+      std::swap(decoded.far_rtt.ms, head.far_rtt.ms);
     }
-  } else if (store != nullptr) {
-    // Decode-classify-discard, one link at a time: peak RSS is the encoded
-    // store plus a single decoded series.  The far-RTT histogram is
-    // observed here so the samples are not decoded a second time below.
-    obs::Histogram* rtt_hist =
-        opt.metrics != nullptr
-            ? opt.metrics->histogram(metric::kFarRttMs, {5, 10, 20, 50, 100, 200, 500, 1000})
-            : nullptr;
-    result.reports.reserve(store->size());
-    result.series.reserve(store->size());
-    for (std::size_t i = 0; i < store->size(); ++i) {
-      tslp::LinkSeries ls = store->decode(i);
-      result.reports.push_back(final_classifier.classify(ls));
-      if (rtt_hist != nullptr) {
-        for (const double ms : ls.far_rtt.ms) rtt_hist->observe(ms);  // NaN = missing round
-      }
-      ls.near_rtt.ms = {};
-      ls.far_rtt.ms = {};
-      result.series.push_back(std::move(ls));  // metadata only
-    }
-    result.columns = store;
-  } else {
-    result.reports.reserve(series.size());
-    for (const auto& ls : series) result.reports.push_back(final_classifier.classify(ls));
-    result.series = std::move(series);
   }
-  // Reroute-vs-congestion cross-check: a verdict whose every far episode
-  // begins at a responder-identity change is explained by the path moving
-  // under the monitor, not by queueing — downgrade it (the scenario
-  // diversity pack's discrimination requirement; see tslp::crosscheck_reroute).
-  for (std::size_t i = 0; i < result.reports.size(); ++i) {
-    if (i >= responder_rounds.size() || i >= result.series.size()) break;
-    result.series[i].responder_changes = std::move(responder_rounds[i]);
-    tslp::crosscheck_reroute(result.reports[i], result.series[i].responder_changes);
-  }
+  if (opt.columnar) result.columns = store;
 
   result.probes_sent = prober.probes_sent();
   if (opt.faults != nullptr) {
@@ -515,8 +391,8 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   }
 
   // Completion-time scrape: runtime internals (fluid queues, packet
-  // transport), detector outcomes, and the far-RTT distribution.
-  // These are not re-published mid-run -- they are either cumulative
+  // transport) and detector outcomes; the far-RTT distribution was
+  // observed during classification.  These are not re-published mid-run -- they are either cumulative
   // runtime totals or only meaningful once classification has run.
   if (opt.metrics != nullptr) {
     obs::Registry* reg = opt.metrics;
@@ -545,13 +421,6 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     reg->counter(metric::kDetectorRefused)->set(refused);
     reg->counter(metric::kDetectorWindowsScanned)->set(windows_scanned);
     reg->counter(metric::kDetectorWindowsSkipped)->set(windows_skipped);
-    if (store == nullptr) {  // columnar mode observed during classification
-      obs::Histogram* rtt =
-          reg->histogram(metric::kFarRttMs, {5, 10, 20, 50, 100, 200, 500, 1000});
-      for (const auto& ls : result.series) {
-        for (const double ms : ls.far_rtt.ms) rtt->observe(ms);  // NaN = missing round
-      }
-    }
   }
 
   report_progress(end, true);

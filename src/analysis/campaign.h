@@ -62,8 +62,8 @@ inline constexpr char kDetectorWindowsSkipped[] =
 inline constexpr char kFarRttMs[] = "afixp_tslp_far_rtt_ms";
 inline constexpr char kSegmentSpan[] = "afixp_campaign_segment_simtime";
 inline constexpr char kWindowSpan[] = "afixp_campaign_window_simtime";
-// Columnar series storage (published only when CampaignOptions::columnar
-// engages the store, so paper-path metric exports are unchanged).
+// Columnar series storage: every campaign accumulates its samples in the
+// store, so these are published whatever CampaignOptions::columnar says.
 inline constexpr char kSeriesResidentBytes[] = "afixp_series_resident_bytes";
 inline constexpr char kSeriesRawBytes[] = "afixp_series_raw_bytes";
 inline constexpr char kSeriesSamples[] = "afixp_series_samples_total";
@@ -135,23 +135,25 @@ struct CampaignOptions {
   /// Obtain one from attach_fault_plan() so the timeline faults and the
   /// probe-level gates come from the same expanded plan.
   sim::FaultInjector* faults = nullptr;
-  /// Accumulate samples in the columnar store (series/columnar.h) instead
-  /// of raw per-link vectors: segments stream into delta-encoded columns
-  /// as they complete, snapshots and the final classification decode one
-  /// link at a time, and RSS stays bounded by the encoded size plus a
-  /// single decoded series.  The decoded samples are bit-identical to the
-  /// raw path, but VpCampaignResult::series then carries metadata only
-  /// (empty ms vectors) -- the samples live in VpCampaignResult::columns.
-  /// Off by default: the paper-scale path and its goldens are unchanged.
+  /// The shape the samples come back in.  Every campaign streams its
+  /// segments into the columnar store (series/columnar.h) and decodes one
+  /// link at a time for snapshots, live verdicts and the final
+  /// classification; this only picks what the result carries.  true: the
+  /// store itself in VpCampaignResult::columns, with metadata-only
+  /// VpCampaignResult::series (empty ms vectors), so RSS stays bounded by
+  /// the encoded size plus a single decoded series.  false: each link's
+  /// decoded samples in VpCampaignResult::series and a null `columns`,
+  /// for consumers that read the vectors (chaos scoring, reports,
+  /// captures, figures).  Metrics and reports are the same either way.
   bool columnar = false;
   /// Run level-shift detection *online*: one OnlineLevelShift pair per
   /// monitored link consumes each segment's samples as rounds complete, so
   /// the expensive rank-CUSUM window scans are already done when the
   /// campaign ends and the final classification only replays the cheap
-  /// assembly tail (against the columnar store's decode buffer when
-  /// `columnar` is also set).  Reports are byte-identical to the offline
-  /// path -- the online detector is equivalence-pinned in test_tslp.cc --
-  /// and the snapshot-window classifications are unaffected.
+  /// assembly tail against each link's decoded series.  Reports are
+  /// byte-identical to the offline path -- the online detector is
+  /// equivalence-pinned in test_tslp.cc -- and the snapshot-window
+  /// classifications are unaffected.
   bool online = false;
 };
 
@@ -172,12 +174,14 @@ struct SnapshotResult {
 struct VpCampaignResult {
   std::string vp_name;
   std::vector<SnapshotResult> snapshots;
-  /// One per monitored link.  With CampaignOptions::columnar the ms
-  /// vectors are empty (metadata only); decode from `columns` instead.
+  /// One per monitored link, with its responder changes.  With
+  /// CampaignOptions::columnar the ms vectors are empty (metadata only);
+  /// decode from `columns` instead.  Otherwise they hold the samples.
   std::vector<tslp::LinkSeries> series;
   std::vector<tslp::LinkReport> reports;  ///< classification of each series
-  /// Columnar sample store (null unless CampaignOptions::columnar); holds
-  /// the encoded near/far columns of every monitored link.
+  /// The campaign's sample store, handed back only with
+  /// CampaignOptions::columnar (null otherwise); holds the encoded
+  /// near/far columns of every monitored link.
   std::shared_ptr<series::SeriesStore> columns;
   std::uint64_t probes_sent = 0;          ///< Table 2's "total # traceroutes" role
   std::uint64_t probes_lost = 0;          ///< round probes sent but unanswered

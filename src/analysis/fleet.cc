@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -27,13 +28,6 @@ long peak_rss_kb_now() {
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return ru.ru_maxrss;  // KiB on Linux
-}
-
-std::string human_count(double v) {
-  if (v >= 1e9) return strformat("%.1fG", v / 1e9);
-  if (v >= 1e6) return strformat("%.1fM", v / 1e6);
-  if (v >= 1e3) return strformat("%.1fk", v / 1e3);
-  return strformat("%.0f", v);
 }
 
 }  // namespace
@@ -207,10 +201,17 @@ FleetResult run_fleet(const std::vector<VpSpec>& specs, const FleetOptions& opt)
 
   // Merge in spec order: labelled per-VP copies first, then the unlabelled
   // fleet-wide sums.  Deterministic for any job count by construction.
+  // A merge keeps a gauge's last value (serve re-merges every pass and
+  // wants the current level), but each campaign gauge measures something
+  // the VPs hold side by side -- monitored links, series bytes -- so the
+  // unlabelled fleet value is the sum over VPs.
+  std::map<obs::MetricId, double> gauge_sums;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     out.registry.merge_from(shards[i], specs[i].vp_name);
     out.registry.merge_from(shards[i]);
+    for (const auto& [id, g] : shards[i].gauges()) gauge_sums[id] += g.value();
   }
+  for (const auto& [id, sum] : gauge_sums) out.registry.gauge(id.name, id.labels)->set(sum);
 
   out.wall_seconds = seconds_since(fleet_t0);
   return out;

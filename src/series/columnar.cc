@@ -193,37 +193,27 @@ void SeriesStore::append(std::size_t i, std::span<const double> near,
   links_[i].far.append(far);
 }
 
-void SeriesStore::pad_to(std::size_t i, std::uint64_t rounds) {
-  IXP_CHECK(i < links_.size(), "SeriesStore::pad_to: bad link index");
-  Entry& e = links_[i];
-  IXP_CHECK(e.near.samples <= rounds, "SeriesStore::pad_to: link already past target");
-  while (e.near.samples < rounds) {
-    ++e.near.samples;
-    ++e.near.open_gap;
-    e.near.stats.add(tslp::kMissing);
-    ++e.far.samples;
-    ++e.far.open_gap;
-    e.far.stats.add(tslp::kMissing);
-  }
+tslp::LinkSeries SeriesStore::decode(std::size_t i) const {
+  tslp::LinkSeries ls;
+  decode_into(i, ls);
+  return ls;
 }
 
-tslp::LinkSeries SeriesStore::decode(std::size_t i) const {
-  IXP_CHECK(i < links_.size(), "SeriesStore::decode: bad link index");
-  const Entry& e = links_[i];
-  tslp::LinkSeries ls;
-  ls.key = e.meta.key;
-  ls.near_ip = e.meta.near_ip;
-  ls.far_ip = e.meta.far_ip;
-  ls.near_asn = e.meta.near_asn;
-  ls.far_asn = e.meta.far_asn;
-  ls.at_ixp = e.meta.at_ixp;
-  ls.near_rtt.start = start_;
-  ls.near_rtt.interval = interval_;
-  ls.near_rtt.ms = e.near.decode();
-  ls.far_rtt.start = start_;
-  ls.far_rtt.interval = interval_;
-  ls.far_rtt.ms = e.far.decode();
-  return ls;
+void SeriesStore::decode_into(std::size_t i, tslp::LinkSeries& out) const {
+  IXP_CHECK(i < links_.size(), "SeriesStore::decode_into: bad link index");
+  const LinkMeta& m = links_[i].meta;
+  out.key = m.key;
+  out.near_ip = m.near_ip;
+  out.far_ip = m.far_ip;
+  out.near_asn = m.near_asn;
+  out.far_asn = m.far_asn;
+  out.at_ixp = m.at_ixp;
+  out.near_rtt.start = start_;
+  out.near_rtt.interval = interval_;
+  out.far_rtt.start = start_;
+  out.far_rtt.interval = interval_;
+  out.responder_changes.clear();
+  decode_into(i, out.near_rtt.ms, out.far_rtt.ms);
 }
 
 void SeriesStore::decode_into(std::size_t i, std::vector<double>& near,

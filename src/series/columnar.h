@@ -98,10 +98,8 @@ struct LinkMeta {
 /// links sharing one sample grid (same start and round interval).
 ///
 /// All links are kept at the same decoded length: a link discovered
-/// mid-campaign is added with a leading gap, and `pad_to` advances
-/// stragglers (links probed in no segment of a window) with missing
-/// samples, mirroring what the in-memory campaign path does with
-/// explicit kMissing entries.
+/// mid-campaign is added with a leading gap run covering the rounds it
+/// missed.
 class SeriesStore {
  public:
   SeriesStore() = default;
@@ -114,12 +112,13 @@ class SeriesStore {
   /// Appends one segment of near/far samples (equal length) to link `i`.
   void append(std::size_t i, std::span<const double> near, std::span<const double> far);
 
-  /// Extends link `i` with missing samples up to `rounds` total.
-  void pad_to(std::size_t i, std::uint64_t rounds);
-
-  /// Decodes link `i` into a LinkSeries identical to what the raw
-  /// in-memory path would have accumulated.
+  /// Decodes link `i` into a LinkSeries: its metadata, the store's time
+  /// base and both sample columns, bit-exact.
   [[nodiscard]] tslp::LinkSeries decode(std::size_t i) const;
+
+  /// Same decode into a caller-owned LinkSeries, reusing its sample
+  /// buffers (`out.responder_changes` is cleared, as decode leaves it).
+  void decode_into(std::size_t i, tslp::LinkSeries& out) const;
 
   /// Decodes link `i`'s two columns into reusable buffers (bit-exact, like
   /// decode) without constructing a LinkSeries; the TSLP fast path wraps

@@ -100,7 +100,8 @@ void ServeDaemon::run_pass(std::uint64_t pass) {
   builder_.begin_pass(pass);
   analysis::FleetOptions fopt;
   fopt.campaign = opt_.campaign;
-  fopt.campaign.online = true;  // live verdicts need the incremental detectors
+  fopt.campaign.online = true;    // live verdicts need the incremental detectors
+  fopt.campaign.columnar = true;  // fold_final reads reports and metadata only
   fopt.campaign.on_verdicts = [this](const analysis::LiveVerdictBatch& b) {
     builder_.fold_live(b.vp_name, b.ixp, b);
     publish_epoch(/*final_pass=*/false);

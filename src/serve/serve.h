@@ -43,8 +43,9 @@ struct ServeOptions {
   /// Campaigns to drive, one fleet pass at a time (spec order preserved).
   std::vector<analysis::VpSpec> specs;
   /// Per-campaign options.  `online` is forced on (live verdicts need the
-  /// incremental detectors); on_progress/on_verdicts/metrics are owned by
-  /// the daemon and must be left unset.
+  /// incremental detectors) and so is `columnar` (serving reads reports and
+  /// link metadata, never the sample vectors); on_progress/on_verdicts/
+  /// metrics are owned by the daemon and must be left unset.
   analysis::CampaignOptions campaign;
   int jobs = 0;  ///< fleet worker budget (0 = IXP_JOBS, else hardware)
   /// Fault plan applied to every pass (nullptr = fault-free).  Pass 1 uses

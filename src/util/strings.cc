@@ -66,6 +66,20 @@ std::string strformat(const char* fmt, ...) {
   return out;
 }
 
+std::string human_count(double v) {
+  if (v >= 1e9) return strformat("%.1fG", v / 1e9);
+  if (v >= 1e6) return strformat("%.1fM", v / 1e6);
+  if (v >= 1e3) return strformat("%.1fk", v / 1e3);
+  return strformat("%.0f", v);
+}
+
+std::string human_bytes(double v) {
+  if (v >= 1024.0 * 1024.0 * 1024.0) return strformat("%.1f GiB", v / (1024.0 * 1024.0 * 1024.0));
+  if (v >= 1024.0 * 1024.0) return strformat("%.1f MiB", v / (1024.0 * 1024.0));
+  if (v >= 1024.0) return strformat("%.1f KiB", v / 1024.0);
+  return strformat("%.0f B", v);
+}
+
 bool parse_u64(std::string_view s, std::uint64_t& out) {
   s = trim(s);
   if (s.empty()) return false;

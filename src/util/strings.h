@@ -28,6 +28,13 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// "3.2M" style figure (k/M/G decimal suffixes, one decimal) for summary
+/// lines, where raw digit strings at 10^9 are unreadable.
+std::string human_count(double v);
+
+/// "1.4 GiB" style byte size (KiB/MiB/GiB binary suffixes, one decimal).
+std::string human_bytes(double v);
+
 /// Parses a non-negative integer; returns false on any non-digit content.
 bool parse_u64(std::string_view s, std::uint64_t& out);
 

@@ -8,10 +8,15 @@
 #include "analysis/campaign.h"
 #include "analysis/casebook.h"
 #include "analysis/tables.h"
+#include <algorithm>
 #include <bit>
 #include <set>
+#include <sstream>
 
+#include "obs/export.h"
+#include "registry/registry.h"
 #include "topo/calendar.h"
+#include "util/strings.h"
 
 namespace ixp::analysis {
 namespace {
@@ -205,8 +210,10 @@ TEST(Campaigns, GridAlignment) {
 
 TEST(Campaigns, ColumnarMatchesRawByteForByte) {
   // CampaignOptions::columnar must be invisible to every consumer: same
-  // classifications, same snapshots, and decoded series bit-identical to
-  // the raw in-memory vectors.
+  // classifications, same snapshots, and the store's decoded series
+  // bit-identical to the sample vectors handed back with columnar=false.
+  // Both shapes come out of the same store; the check against samples that
+  // never went through it is StoreDecodesDriverSamplesBitForBit below.
   const auto spec = make_vp4_sixp();
   CampaignOptions opt;
   opt.round_interval = kMinute * 30;
@@ -257,6 +264,109 @@ TEST(Campaigns, ColumnarMatchesRawByteForByte) {
   }
   // The bounded-RSS claim: the store holds fewer bytes than raw doubles.
   EXPECT_LT(col.columns->resident_bytes(), col.columns->raw_bytes());
+}
+
+TEST(Campaigns, StoreDecodesDriverSamplesBitForBit) {
+  // The store is the campaign's only sample accumulator, so its codec is
+  // held to a reference that bypasses it: the campaign's probing replayed
+  // through TslpDriver directly -- bdrmap, then per boundary one segment
+  // and a rediscovery -- with each link's raw near/far vectors
+  // concatenated (a late link's past padded as missing).  Every decoded
+  // sample must equal what the driver produced, bit for bit.  VP6's first
+  // 60 days have membership changes, so segments meet at seams and links
+  // join mid-campaign.
+  const auto spec = make_vp6_rinex();
+  CampaignOptions opt;
+  opt.round_interval = kMinute * 30;
+  opt.duration_override = kDay * 60;
+  opt.columnar = true;
+  auto rt_camp = build_scenario(spec);
+  const auto result = run_campaign(*rt_camp, spec, opt);
+  ASSERT_NE(result.columns, nullptr);
+  const series::SeriesStore& store = *result.columns;
+
+  auto rt = build_scenario(spec);
+  const TimePoint start = spec.campaign_start;
+  const TimePoint end = start + opt.duration_override;
+  prober::Prober prober(rt->topology.net(), rt->vp_host, 100.0);
+  rt->topology.net().simulator().advance_to(start);
+  rt->apply_timeline_until(start);
+  auto discover = [&] {
+    const auto data = registry::harvest(rt->topology, *rt->bgp, rt->vp_asn, rt->collectors);
+    return bdrmap::Bdrmap(prober, data, rt->vp_asn).run();
+  };
+  std::vector<prober::MonitorTarget> targets;
+  std::vector<std::vector<double>> near, far;
+  std::set<net::Ipv4Address> known;
+  auto absorb = [&](const bdrmap::BdrmapResult& b) {
+    const std::size_t elapsed = near.empty() ? 0 : near.front().size();
+    for (const auto& l : b.links) {
+      if (!known.insert(l.far_ip).second) continue;
+      prober::MonitorTarget t;
+      t.key = strformat("AS%u-AS%u-%s", rt->vp_asn, l.far_asn, l.far_ip.to_string().c_str());
+      t.near_ip = l.near_ip;
+      t.far_ip = l.far_ip;
+      t.near_asn = rt->vp_asn;
+      t.far_asn = l.far_asn;
+      t.at_ixp = l.at_ixp;
+      targets.push_back(std::move(t));
+      near.emplace_back(elapsed, tslp::kMissing);
+      far.emplace_back(elapsed, tslp::kMissing);
+    }
+  };
+  absorb(discover());
+  const std::size_t initial_links = targets.size();
+
+  std::vector<TimePoint> boundaries;
+  for (const auto& ev : rt->timeline) {
+    if (ev.membership && ev.at > start && ev.at < end) boundaries.push_back(ev.at);
+  }
+  for (const auto& s : spec.snapshot_dates) {
+    if (s > start && s < end) boundaries.push_back(s);
+  }
+  boundaries.push_back(end);
+  std::sort(boundaries.begin(), boundaries.end());
+  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()), boundaries.end());
+  ASSERT_GE(boundaries.size(), 3u);  // three segments: appends span two seams
+
+  const Duration iv = opt.round_interval;
+  TimePoint t = start;
+  for (const TimePoint b : boundaries) {
+    // Day-mark boundaries on a 30-minute grid: every segment starts on it.
+    ASSERT_EQ((t - start).count() % iv.count(), 0);
+    prober::TslpConfig cfg;
+    cfg.round_interval = iv;
+    cfg.pre_round = [&rt](TimePoint at) { rt->apply_timeline_until(at); };
+    cfg.rr_every_rounds = static_cast<int>(kDay.count() / iv.count());
+    prober::TslpDriver driver(prober, cfg);
+    const std::int64_t rounds = ((b - t).count() + iv.count() - 1) / iv.count();
+    const auto segment = driver.run(targets, t, t + iv * rounds, [](std::size_t) {});
+    ASSERT_EQ(segment.size(), targets.size());
+    for (std::size_t i = 0; i < segment.size(); ++i) {
+      near[i].insert(near[i].end(), segment[i].near_rtt.ms.begin(), segment[i].near_rtt.ms.end());
+      far[i].insert(far[i].end(), segment[i].far_rtt.ms.begin(), segment[i].far_rtt.ms.end());
+    }
+    t = b;
+    rt->apply_timeline_until(b);
+    absorb(discover());
+  }
+
+  ASSERT_EQ(store.size(), targets.size());
+  ASSERT_GT(targets.size(), initial_links);  // some links joined late
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const auto ls = store.decode(i);
+    EXPECT_EQ(ls.key, targets[i].key);
+    ASSERT_EQ(ls.near_rtt.ms.size(), near[i].size()) << ls.key;
+    ASSERT_EQ(ls.far_rtt.ms.size(), far[i].size()) << ls.key;
+    for (std::size_t k = 0; k < near[i].size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ls.near_rtt.ms[k]),
+                std::bit_cast<std::uint64_t>(near[i][k]))
+          << ls.key << " near sample " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ls.far_rtt.ms[k]),
+                std::bit_cast<std::uint64_t>(far[i][k]))
+          << ls.key << " far sample " << k;
+    }
+  }
 }
 
 TEST(Campaigns, OnlineMatchesOfflineReports) {
@@ -311,6 +421,50 @@ TEST(Campaigns, OnlineMatchesOfflineReports) {
     for (std::size_t i = 0; i < offline.snapshots.size(); ++i) {
       EXPECT_EQ(online.snapshots[i].discovered_links, offline.snapshots[i].discovered_links);
       EXPECT_EQ(online.snapshots[i].congested_links, offline.snapshots[i].congested_links);
+    }
+  }
+}
+
+TEST(Campaigns, MetricsIndependentOfResultShape) {
+  // CampaignOptions::columnar only picks the shape the samples come back
+  // in; every campaign accumulates in the series store, so the registry
+  // export -- the store's own gauges included -- is the same either way.
+  const auto spec = make_vp4_sixp();
+  std::string exports[2];
+  for (const bool columnar : {false, true}) {
+    obs::Registry reg;
+    auto rt = build_scenario(spec);
+    CampaignOptions opt;
+    opt.round_interval = kMinute * 30;
+    opt.duration_override = kDay * 45;
+    opt.metrics = &reg;
+    opt.columnar = columnar;
+    (void)run_campaign(*rt, spec, opt);
+    std::ostringstream out;
+    obs::write_json(out, reg);
+    exports[columnar ? 1 : 0] = out.str();
+  }
+  EXPECT_NE(exports[0].find(metric::kSeriesResidentBytes), std::string::npos);
+  EXPECT_EQ(exports[0], exports[1]);
+}
+
+TEST(Campaigns, ColumnarResultHoldsNoSamples) {
+  // A columnar result's series are metadata only: the samples live in the
+  // store, and the series vectors must not keep the decode buffers'
+  // allocations alive (that doubled a continent-scale campaign's RSS).
+  const auto spec = make_vp4_sixp();
+  for (const bool online : {false, true}) {
+    auto rt = build_scenario(spec);
+    CampaignOptions opt;
+    opt.round_interval = kMinute * 30;
+    opt.duration_override = kDay * 45;
+    opt.columnar = true;
+    opt.online = online;
+    const auto result = run_campaign(*rt, spec, opt);
+    ASSERT_FALSE(result.series.empty());
+    for (const auto& ls : result.series) {
+      EXPECT_EQ(ls.near_rtt.ms.capacity(), 0u) << ls.key << " online=" << online;
+      EXPECT_EQ(ls.far_rtt.ms.capacity(), 0u) << ls.key << " online=" << online;
     }
   }
 }

@@ -215,6 +215,17 @@ TEST(Fleet, RegistryExportIsByteIdenticalAcrossJobCounts) {
                 fleet.results[i].probes_sent)
           << specs[i].vp_name;
     }
+    // Gauges too: links and series bytes are held side by side, so the
+    // unlabelled value is the sum over VPs, not the last VP merged.
+    for (const char* gauge : {metric::kMonitoredLinks, metric::kSeriesResidentBytes,
+                              metric::kSeriesRawBytes}) {
+      double sum = 0.0;
+      for (const auto& s : specs) {
+        sum += fleet.registry.gauge_value(gauge, "vp=\"" + s.vp_name + "\"");
+      }
+      EXPECT_GT(sum, 0.0) << gauge;
+      EXPECT_EQ(fleet.registry.gauge_value(gauge), sum) << gauge;
+    }
 
     std::ostringstream json, prom;
     obs::write_json(json, fleet.registry);

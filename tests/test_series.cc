@@ -251,19 +251,5 @@ TEST(SeriesStore, LateLinkGetsLeadingGap) {
   EXPECT_NEAR(store.near_stats(b).coverage(), 0.25, 1e-12);
 }
 
-TEST(SeriesStore, PadToAdvancesStragglers) {
-  SeriesStore store(TimePoint{}, kMinute * 5);
-  const std::size_t li = store.add_link({.key = "lagging"});
-  store.append(li, std::vector<double>{1.0}, std::vector<double>{2.0});
-  store.pad_to(li, 6);
-  EXPECT_EQ(store.samples(li), 6u);
-  const auto ls = store.decode(li);
-  ASSERT_EQ(ls.near_rtt.ms.size(), 6u);
-  for (std::size_t i = 1; i < 6; ++i) EXPECT_TRUE(std::isnan(ls.near_rtt.ms[i]));
-  // Padding to the current length is a no-op, not an error.
-  store.pad_to(li, 6);
-  EXPECT_EQ(store.samples(li), 6u);
-}
-
 }  // namespace
 }  // namespace ixp::series

@@ -184,6 +184,17 @@ TEST(Strings, Strformat) {
   EXPECT_EQ(strformat("AS%u-%s", 30997u, "GIXA"), "AS30997-GIXA");
 }
 
+TEST(Strings, HumanCountAndBytes) {
+  EXPECT_EQ(human_count(999), "999");
+  EXPECT_EQ(human_count(1500), "1.5k");
+  EXPECT_EQ(human_count(2.1e6), "2.1M");
+  EXPECT_EQ(human_count(3.2e9), "3.2G");
+  EXPECT_EQ(human_bytes(512), "512 B");
+  EXPECT_EQ(human_bytes(1536), "1.5 KiB");
+  EXPECT_EQ(human_bytes(16.0 * 1024 * 1024), "16.0 MiB");
+  EXPECT_EQ(human_bytes(1.5 * 1024 * 1024 * 1024), "1.5 GiB");
+}
+
 // ---------------------------------------------------------------------------
 // csv
 

@@ -17,10 +17,10 @@
 //       run the six VP campaigns under a named fault plan and score the
 //       classifier against the engineered ground truth (precision/recall
 //       under measurement pathologies; see EXPERIMENTS.md).
-//   afixp gen       [--spec continent100|file] [--run | --bench | --print]
+//   afixp gen       [--spec continent100|file] [--run | --print]
 //       expand a declarative topology spec into a whole IXP substrate and
-//       (optionally) run the fleet over it with columnar RTT storage, or
-//       benchmark it into BENCH_substrate.json (see docs/SCALING.md).
+//       (optionally) run the fleet over it with columnar RTT storage (see
+//       docs/SCALING.md; bench/bench_substrate benchmarks it).
 //   afixp serve     [--rounds N] [--port P] [--fault-plan default]
 //       run the always-on congestion observatory: fleet passes feed epoch
 //       snapshots served over HTTP (/metrics + the /api/v1 query API;
@@ -30,7 +30,6 @@
 #include <set>
 
 #include "analysis/africa.h"
-#include "analysis/benchmarks.h"
 #include "analysis/campaign.h"
 #include "analysis/casebook.h"
 #include "analysis/chaos.h"
@@ -441,7 +440,6 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_bool("columnar", false, "columnar RTT storage (recommended for substrates)");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
   flags.add_string("metrics-out", "",
                    "shutdown metrics flush path (default IXP_METRICS; empty = off)");
@@ -521,7 +519,6 @@ int cmd_serve(int argc, const char* const* argv) {
   } else if (flags.get_bool("fast")) {
     sopt.campaign.duration_override = kDay * 42;
   }
-  sopt.campaign.columnar = flags.get_bool("columnar");
   sopt.jobs = static_cast<int>(flags.get_int("jobs"));
   sopt.port = static_cast<int>(port);
   sopt.http_threads = static_cast<int>(http_threads);
@@ -549,40 +546,20 @@ int cmd_serve(int argc, const char* const* argv) {
   return rc;
 }
 
-// "3.2M" / "1.4 GiB" style figures for the gen summary lines.  Sizing a
-// substrate is the whole point of the summary; raw digit strings at 10^9
-// samples are unreadable.
-std::string human_count(double v) {
-  if (v >= 1e9) return strformat("%.1fG", v / 1e9);
-  if (v >= 1e6) return strformat("%.1fM", v / 1e6);
-  if (v >= 1e3) return strformat("%.1fk", v / 1e3);
-  return strformat("%.0f", v);
-}
-
-std::string human_bytes(double v) {
-  if (v >= 1024.0 * 1024.0 * 1024.0) return strformat("%.1f GiB", v / (1024.0 * 1024.0 * 1024.0));
-  if (v >= 1024.0 * 1024.0) return strformat("%.1f MiB", v / (1024.0 * 1024.0));
-  if (v >= 1024.0) return strformat("%.1f KiB", v / 1024.0);
-  return strformat("%.0f B", v);
-}
-
 int cmd_gen(int argc, const char* const* argv) {
   Flags flags("afixp gen",
-              "expand a topology spec into an IXP substrate; summarize, run, or bench it");
+              "expand a topology spec into an IXP substrate; summarize or run it");
   flags.add_string("spec", "continent100",
                    "preset name or spec-file path (see --list-presets, docs/SCALING.md)");
   flags.add_bool("list-presets", false, "list the built-in spec presets and exit");
   flags.add_bool("print", false, "print the resolved spec in canonical form and exit");
   flags.add_bool("run", false,
                  "run the generated fleet end to end (columnar RTT storage engaged)");
-  flags.add_bool("bench", false,
-                 "benchmark the run and write the BENCH_substrate.json record (--out)");
   flags.add_bool("shard-plan", false, "print the cost-model shard assignment");
   flags.add_int("seed", 0, "override the spec's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = the spec's)");
   flags.add_int("round-minutes", 5, "TSLP probing cadence");
   flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
-  flags.add_string("out", "BENCH_substrate.json", "--bench output JSON path (empty = stdout)");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (default IXP_METRICS; empty = off)");
   if (!flags.parse(argc, argv)) {
@@ -621,26 +598,6 @@ int cmd_gen(int argc, const char* const* argv) {
   if (flags.get_int("days") > 0) spec->days = static_cast<int>(flags.get_int("days"));
   if (flags.get_bool("print")) {
     std::cout << topo::topo_spec_to_string(*spec);
-    return 0;
-  }
-
-  if (flags.get_bool("bench")) {
-    analysis::SubstrateBenchOptions bopt;
-    bopt.jobs = static_cast<int>(flags.get_int("jobs"));
-    bopt.round_interval = *interval;
-    const auto report = analysis::run_substrate_benchmark(*spec, bopt, &std::cerr);
-    const auto out_path = flags.get_string("out");
-    if (out_path.empty()) {
-      analysis::write_substrate_bench_json(std::cout, report);
-      return 0;
-    }
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    analysis::write_substrate_bench_json(out, report);
-    std::cout << "bench record: " << out_path << "\n";
     return 0;
   }
 
@@ -738,7 +695,7 @@ constexpr Command kCommands[] = {
     {"selftest", "golden-regression checks of the statistics path", &cmd_selftest},
     {"chaos", "run the VP fleet under a fault plan and score the classifier",
      &cmd_chaos},
-    {"gen", "expand a topology spec into an IXP substrate and run or bench it",
+    {"gen", "expand a topology spec into an IXP substrate and run it",
      &cmd_gen},
     {"serve", "run the always-on congestion observatory over HTTP", &cmd_serve},
 };

@@ -20,8 +20,8 @@
 #
 # When a bench_substrate binary is supplied, its smoke workload runs under
 # the same format gate: the afixp-bench-substrate/1 record must carry every
-# field docs/SCALING.md documents, with positive throughput and a columnar
-# store that actually beats raw storage.
+# field docs/SCALING.md documents (host_cpus included), with positive
+# throughput and a columnar store that actually beats raw storage.
 #
 # The afixp-bench-sim/4 record states the CPU count of the host it ran on
 # (host_cpus), so no wall-clock number is read without its parallelism.
@@ -176,7 +176,7 @@ if record.get("workload") != "smoke":
 # The full field set docs/SCALING.md documents -- losing any breaks the
 # cross-commit comparison workflow.
 fields = {
-    "schema", "workload", "spec", "seed", "jobs", "ixps", "links", "rounds",
+    "schema", "workload", "spec", "seed", "jobs", "host_cpus", "ixps", "links", "rounds",
     "samples", "probes", "wall_seconds", "link_rounds_per_sec",
     "probes_per_sec", "resident_bytes", "raw_bytes", "bytes_per_link",
     "raw_bytes_per_link", "compression_ratio", "peak_rss_kb",
@@ -184,7 +184,7 @@ fields = {
 missing = fields - record.keys()
 if missing:
     fail(f"substrate record lacks field(s) {sorted(missing)}")
-for key in ("ixps", "links", "rounds", "samples", "probes",
+for key in ("host_cpus", "ixps", "links", "rounds", "samples", "probes",
             "link_rounds_per_sec", "bytes_per_link", "peak_rss_kb"):
     if not (isinstance(record[key], (int, float)) and record[key] > 0):
         fail(f"substrate record has non-positive {key}: {record[key]!r}")

@@ -5,8 +5,8 @@
 # enumerates every subcommand (the dispatch table is the single source, so
 # a new subcommand cannot be reachable-but-undocumented), unknown or
 # missing subcommands exit non-zero with usage on stderr, every subcommand
-# answers --help with exit 0, retired subcommands stay gone, and bad flag
-# values are usage errors (exit 2) before any work starts.
+# answers --help with exit 0, retired subcommands and flags stay gone,
+# and bad flag values are usage errors (exit 2) before any work starts.
 #
 # usage: check_cli.sh <afixp_binary>
 set -u
@@ -51,10 +51,21 @@ for c in $subcommands; do
         err "'afixp $c --help' exited non-zero"
 done
 
-# --- 4. Retired subcommands are gone ---------------------------------------
+# --- 4. Retired subcommands and flags are gone ----------------------------
 # `afixp bench` duplicated bench/bench_probe, which is now the only probe
-# harness entry point.
+# harness entry point; `gen --bench/--out` likewise duplicated
+# bench/bench_substrate.  `serve --columnar` picked a result shape the
+# daemon never reads (serving always runs columnar).  A retired flag is
+# an unknown flag: a usage error, exit 2.
 "$afixp" bench > /dev/null 2>&1 && err "retired 'afixp bench' exited zero"
+retired_flag() {
+    "$afixp" "$@" > /dev/null 2>&1
+    rc=$?
+    [ "$rc" -eq 2 ] || err "retired 'afixp $*' exited $rc, expected 2"
+}
+retired_flag gen --bench
+retired_flag gen --out x.json
+retired_flag serve --columnar
 
 # --- 5. Usage errors exit 2 ------------------------------------------------
 # A cadence below one minute is rejected by name: 0 would divide by zero
