@@ -2,13 +2,11 @@
 //
 // Every bench prints (a) the paper's reported values, (b) what this
 // reproduction measures, and (c) the raw series as CSV so the figures can
-// be re-plotted.  Campaign durations and cadences are configurable through
-// environment variables so the full-fidelity run stays available:
-//   IXP_ROUND_MINUTES  probing cadence, at least 1 (default 30; the paper
-//                      used 5)
-//   IXP_FAST=1         shorten campaigns (smoke-test mode)
-//   IXP_JOBS=N         parallel campaigns for the fleet-based table benches
-//                      (default: hardware concurrency, clamped to VP count)
+// be re-plotted.  The table benches run the full campaign at a fixed
+// 30-minute cadence; `afixp tables` prints the same two tables at any
+// cadence, window or fleet width (--round-minutes, --fast, --jobs).  The
+// figure and detector benches take one flag:
+//   --fast               shorten campaigns (smoke-test mode)
 #pragma once
 
 #include <cstdlib>
@@ -22,48 +20,52 @@
 #include "tslp/series.h"
 #include "util/ascii_chart.h"
 #include "util/csv.h"
-#include "util/env.h"
+#include "util/flags.h"
 #include "util/strings.h"
 
 namespace ixp::bench {
 
-/// IXP_ROUND_MINUTES through the CLI's cadence check; a value below 1
-/// ends the bench with exit status 2, as `--round-minutes 0` does.
-inline Duration round_interval_from_env() {
-  const double minutes = env::double_value("IXP_ROUND_MINUTES").value_or(30);
-  const auto interval =
-      analysis::round_interval_from_minutes(minutes, "IXP_ROUND_MINUTES", std::cerr);
-  if (!interval) std::exit(2);
-  return *interval;
+/// Parses a figure or detector bench's one flag and returns whether
+/// --fast was given.  A usage error ends the bench with exit status 2;
+/// --help prints the flag and exits 0.
+inline bool parse_fast_flag(int argc, const char* const* argv, const char* name,
+                            const char* summary) {
+  Flags flags(name, summary);
+  flags.add_bool("fast", false, "shorter campaigns and sweeps (smoke-test mode)");
+  if (!flags.parse(argc, argv)) {
+    std::cerr << flags.error() << "\n";
+    std::exit(2);
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.help_text();
+    std::exit(0);
+  }
+  return flags.get_bool("fast");
 }
 
-inline bool fast_mode() { return env::flag("IXP_FAST"); }
-
-/// Runs one VP's campaign with bench-standard options.  Case-study benches
-/// pass `round_override` to probe at a finer cadence than the table
-/// campaigns (short congestion events quantize badly at coarse rounds).
-inline analysis::VpCampaignResult run_vp(const analysis::VpSpec& spec,
-                                         Duration duration_override = Duration(0),
-                                         Duration round_override = Duration(0)) {
+/// Runs one VP's campaign over `duration` (0 = the spec's window) at
+/// `round_interval`.  Case-study benches probe at a finer cadence than the
+/// table campaigns (short congestion events quantize badly at coarse
+/// rounds).
+inline analysis::VpCampaignResult run_vp(const analysis::VpSpec& spec, Duration duration,
+                                         Duration round_interval) {
   auto rt = analysis::build_scenario(spec);
   analysis::CampaignOptions opt;
-  opt.round_interval =
-      round_override.count() > 0 ? round_override : round_interval_from_env();
-  opt.duration_override = duration_override;
-  if (fast_mode() && duration_override.count() == 0) {
-    opt.duration_override = kDay * 42;
-  }
+  opt.round_interval = round_interval;
+  opt.duration_override = duration;
   return analysis::run_campaign(*rt, spec, opt);
 }
 
-/// Runs a whole VP fleet in parallel with bench-standard options (cadence
-/// and duration from the environment, IXP_JOBS-many workers).  Live status
-/// and the metrics table render on stderr; stdout stays byte-identical to
-/// a serial run, so bench output can still be diffed.
+/// Cadence of the table benches' campaigns.
+inline constexpr Duration kTableRoundInterval = kMinute * 30;
+
+/// Runs a whole VP fleet in parallel over the full campaign windows at
+/// kTableRoundInterval.  Live status and the metrics table render on
+/// stderr; stdout stays byte-identical to a serial run, so bench output
+/// can still be diffed.
 inline analysis::FleetResult run_fleet_vps(const std::vector<analysis::VpSpec>& specs) {
   analysis::FleetOptions opt;
-  opt.campaign.round_interval = round_interval_from_env();
-  if (fast_mode()) opt.campaign.duration_override = kDay * 42;
+  opt.campaign.round_interval = kTableRoundInterval;
   analysis::FleetStatusPrinter status(std::cerr, specs);
   opt.on_progress = [&status](const analysis::CampaignMetrics& m) { status(m); };
   auto fleet = analysis::run_fleet(specs, opt);

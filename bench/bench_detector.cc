@@ -63,9 +63,11 @@ PrecisionRecall evaluate(const tslp::LevelShiftOptions& opt, Duration interval, 
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
-  const int trials = bench::fast_mode() ? 10 : 30;
+  const bool fast =
+      bench::parse_fast_flag(argc, argv, "bench_detector", "level-shift detector ablations");
+  const int trials = fast ? 10 : 30;
   std::cout << "bench_detector: level-shift detector ablations (" << trials
             << " series per cell)\n";
 

@@ -13,9 +13,11 @@
 #include "tslp/classifier.h"
 #include "tslp/loss_analysis.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
   using topo::date;
+  const bool fast =
+      bench::parse_fast_flag(argc, argv, "bench_fig2", "GIXA-GHANATEL phase 2 (Figure 2)");
   std::cout << "bench_fig2: GIXA-GHANATEL phase 2 (peering reuse of the 100 Mb/s link)\n";
 
   const auto spec = analysis::make_fig_ghanatel();
@@ -46,7 +48,7 @@ int main() {
   rt2->apply_timeline_until(loss_start);
   prober::Prober prober(rt2->topology.net(), rt2->vp_host, 0.0);
   prober::LossConfig lcfg;
-  lcfg.batch_gap = bench::fast_mode() ? kMinute * 60 : kMinute * 15;
+  lcfg.batch_gap = fast ? kMinute * 60 : kMinute * 15;
   const auto loss = prober::measure_loss(prober, link->far_ip, loss_start, loss_end, lcfg);
 
   std::vector<double> series;

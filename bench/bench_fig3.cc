@@ -15,13 +15,14 @@
 #include "tslp/classifier.h"
 #include "tslp/loss_analysis.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
   using topo::date;
+  const bool fast = bench::parse_fast_flag(argc, argv, "bench_fig3", "GIXA-KNET (Figure 3)");
   std::cout << "bench_fig3: GIXA-KNET (slow-ICMP diurnal waveform, low loss)\n";
 
   const auto spec = analysis::make_fig_knet();
-  auto result = bench::run_vp(spec, Duration(0), kMinute * 5);
+  auto result = bench::run_vp(spec, fast ? kDay * 42 : Duration(0), kMinute * 5);
 
   const auto* link = bench::find_series(result, 33786);
   if (link == nullptr) {
@@ -29,7 +30,7 @@ int main() {
     return 1;
   }
   const TimePoint pattern_start = date(6, 8, 2016);
-  const TimePoint shown_end = bench::fast_mode() ? pattern_start + kDay * 14 : date(1, 10, 2016);
+  const TimePoint shown_end = fast ? pattern_start + kDay * 14 : date(1, 10, 2016);
   bench::print_rtt_figure("Fig 3a: RTTs GIXA-KNET from 06/08/2016",
                           tslp::slice(*link, pattern_start, shown_end), 800);
 
@@ -56,7 +57,7 @@ int main() {
   std::cout << "\nFig 3b: loss rate (batches of 100 probes at 1 pps, subsampled)\n";
   auto rt2 = analysis::build_scenario(spec);
   const TimePoint loss_start = date(10, 8, 2016);
-  const TimePoint loss_end = bench::fast_mode() ? loss_start + kDay * 7 : date(10, 9, 2016);
+  const TimePoint loss_end = fast ? loss_start + kDay * 7 : date(10, 9, 2016);
   rt2->topology.net().simulator().advance_to(spec.campaign_start);
   rt2->apply_timeline_until(loss_start);
   prober::Prober prober(rt2->topology.net(), rt2->vp_host, 0.0);

@@ -11,14 +11,16 @@
 #include "bench_common.h"
 #include "tslp/classifier.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
   using topo::date;
+  const bool fast =
+      bench::parse_fast_flag(argc, argv, "bench_fig4", "QCELL-NETPAGE at SIXP (Figure 4)");
   std::cout << "bench_fig4: QCELL-NETPAGE (demand-driven congestion, fixed by an upgrade)\n";
 
   const auto spec = analysis::make_fig_netpage();
   const Duration duration =
-      bench::fast_mode() ? date(1, 6, 2016) - spec.campaign_start : Duration(0);
+      fast ? date(1, 6, 2016) - spec.campaign_start : Duration(0);
   auto result = bench::run_vp(spec, duration, kMinute * 10);
 
   const auto* link = bench::find_series(result, 65400);
@@ -44,7 +46,7 @@ int main() {
   std::cout << "  diurnal pattern: " << (rep1.has_diurnal_pattern() ? "yes" : "no")
             << ", near clean: " << (rep1.near_clean ? "yes" : "no") << "\n";
 
-  const TimePoint p2_end = bench::fast_mode() ? date(1, 6, 2016) : date(1, 3, 2017);
+  const TimePoint p2_end = fast ? date(1, 6, 2016) : date(1, 3, 2017);
   const auto phase2 = tslp::slice(*link, date(29, 4, 2016), p2_end);
   bench::print_rtt_figure("Fig 4b: phase 2 (after the 1 Gb/s upgrade)",
                           tslp::slice(*link, date(29, 4, 2016),

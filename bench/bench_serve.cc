@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   flags.add_int("seconds", 10, "soak window length");
   flags.add_int("client-threads", 2, "keep-alive client threads");
   flags.add_int("http-threads", 2, "HTTP worker threads");
-  flags.add_int("jobs", 0, "fleet workers (0 = auto: IXP_JOBS or hardware)");
+  flags.add_int("jobs", 0, "fleet workers (0 = hardware concurrency)");
   flags.add_int("days", 0, "campaign length in days (0 = full calendar)");
   flags.add_string("out", "BENCH_serve.json", "output JSON path (empty = stdout)");
   if (!flags.parse(argc, argv)) {

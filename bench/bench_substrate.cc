@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   flags.add_bool("smoke", false, "CI-sized substrate (seconds, not minutes)");
   flags.add_string("spec", "continent100",
                    "topology-spec preset (paper6, regional50, continent100) or spec file");
-  flags.add_int("jobs", 0, "fleet workers (0 = auto: IXP_JOBS or hardware)");
+  flags.add_int("jobs", 0, "fleet workers (0 = hardware concurrency)");
   flags.add_int("seed", 0, "override the preset's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = spec)");
   flags.add_string("out", "BENCH_substrate.json", "output JSON path (empty = stdout)");
@@ -167,17 +167,11 @@ int main(int argc, char** argv) {
     spec.days = 2;
     spec.members_max = 40;
   } else {
-    // A preset name first, a spec file second, as `afixp gen --spec` reads it.
-    const std::string spec_arg = flags.get_string("spec");
-    std::optional<topo::TopoSpec> resolved = topo::topo_spec_preset(spec_arg);
+    std::string error;
+    const auto resolved = topo::resolve_topo_spec(flags.get_string("spec"), &error);
     if (!resolved) {
-      std::string error;
-      resolved = topo::load_topo_spec(spec_arg, &error);
-      if (!resolved) {
-        std::cerr << "bench_substrate: --spec '" << spec_arg
-                  << "' is neither a preset nor a spec file: " << error << "\n";
-        return 1;
-      }
+      std::cerr << "bench_substrate: --spec " << error << "\n";
+      return 1;
     }
     spec = *resolved;
   }

@@ -14,8 +14,7 @@
 int main() {
   using namespace ixp;
   std::cout << "bench_table1: threshold sensitivity of congested-link labeling\n";
-  std::cout << "cadence: " << format_duration(bench::round_interval_from_env())
-            << (bench::fast_mode() ? "  (IXP_FAST: 6-week campaign)\n" : "  (full campaign)\n");
+  std::cout << "cadence: " << format_duration(bench::kTableRoundInterval) << "  (full campaign)\n";
 
   const auto specs = analysis::make_all_vps();
   const auto fleet = bench::run_fleet_vps(specs);

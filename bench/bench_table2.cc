@@ -9,7 +9,7 @@
 int main() {
   using namespace ixp;
   std::cout << "bench_table2: evolution of discovered links / neighbors / congestion\n";
-  std::cout << "cadence: " << format_duration(bench::round_interval_from_env()) << "\n";
+  std::cout << "cadence: " << format_duration(bench::kTableRoundInterval) << "\n";
 
   std::vector<analysis::VpSpec> specs = analysis::make_all_vps();
   auto fleet = bench::run_fleet_vps(specs);

@@ -9,7 +9,6 @@
 #include "tslp/engine.h"
 #include "tslp/online.h"
 #include "util/strings.h"
-#include "util/log.h"
 
 namespace ixp::analysis {
 namespace {
@@ -245,7 +244,7 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   };
 
   // Live verdicts for the serving layer: finalize every link's online far
-  // detector against its series-so-far.  The window scans already ran as
+  // detector against its far series-so-far (the near column is not read).  The window scans already ran as
   // rounds completed, so this is only the assembly tail per link; finalize
   // does not mutate the detector, so later segments keep pushing into it.
   auto report_verdicts = [&](TimePoint at) {
@@ -256,7 +255,7 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     batch.at = at;
     batch.links.reserve(store->size());
     for (std::size_t i = 0; i < store->size(); ++i) {
-      store->decode_into(i, near_buf, far_buf);
+      store->decode_far_into(i, far_buf);
       const series::LinkMeta& m = store->meta(i);
       LiveLinkVerdict v;
       v.key = m.key;
@@ -330,10 +329,6 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
     }
     if (snapshot_set.count(b)) record_snapshot(b, borders);
     report_verdicts(b);
-    if (opt.verbose) {
-      IXP_INFO << spec.vp_name << " boundary " << format_time(b) << ": " << targets.size()
-               << " monitored links";
-    }
     report_progress(b, false);
   }
 

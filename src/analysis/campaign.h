@@ -113,7 +113,6 @@ struct CampaignOptions {
   /// durations used.
   Duration duration_override = Duration(0);
   tslp::ClassifierOptions classifier;
-  bool verbose = false;
   /// Destination registry for the campaign's metrics (not owned; may be
   /// null to disable all recording).  The campaign is the only writer for
   /// the duration of the run; counters mirrored from component stats use

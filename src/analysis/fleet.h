@@ -105,8 +105,8 @@ ShardPlan plan_shards(const std::vector<VpSpec>& specs, int jobs, const Campaign
 
 struct FleetOptions {
   CampaignOptions campaign;
-  /// Worker threads.  0 = auto: the IXP_JOBS environment variable if set,
-  /// else hardware concurrency; always clamped to the fleet size.
+  /// Worker threads.  0 = auto: hardware concurrency; always clamped to
+  /// the fleet size.
   int jobs = 0;
   FleetProgressFn on_progress;
   /// Give each campaign its own obs::Registry shard and merge them into

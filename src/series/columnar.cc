@@ -1,6 +1,5 @@
 #include "series/columnar.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -73,26 +72,9 @@ std::size_t varint_size(std::uint64_t v) {
 
 }  // namespace
 
-void StreamStats::add(double v) {
-  ++samples;
-  if (std::isnan(v)) return;
-  if (finite == 0) {
-    min = v;
-    max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++finite;
-  const double delta = v - mean;
-  mean += delta / static_cast<double>(finite);
-  m2 += delta * (v - mean);
-}
-
 void Column::append(std::span<const double> values) {
   for (const double v : values) {
     ++samples;
-    stats.add(v);
     if (std::isnan(v)) {
       ++open_gap;
       continue;
@@ -177,10 +159,6 @@ std::size_t SeriesStore::add_link(LinkMeta meta, std::uint64_t lead_missing) {
     back.far.samples = lead_missing;
     back.near.open_gap = lead_missing;
     back.far.open_gap = lead_missing;
-    for (std::uint64_t k = 0; k < lead_missing; ++k) {
-      back.near.stats.add(tslp::kMissing);
-      back.far.stats.add(tslp::kMissing);
-    }
   }
   return links_.size() - 1;
 }
@@ -220,6 +198,11 @@ void SeriesStore::decode_into(std::size_t i, std::vector<double>& near,
                               std::vector<double>& far) const {
   IXP_CHECK(i < links_.size(), "SeriesStore::decode_into: bad link index");
   links_[i].near.decode_into(near);
+  links_[i].far.decode_into(far);
+}
+
+void SeriesStore::decode_far_into(std::size_t i, std::vector<double>& far) const {
+  IXP_CHECK(i < links_.size(), "SeriesStore::decode_far_into: bad link index");
   links_[i].far.decode_into(far);
 }
 

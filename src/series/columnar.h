@@ -1,7 +1,6 @@
-// Columnar storage for RTT time series: lossless delta/quantized encoding
-// plus single-pass streaming statistics, so a long-horizon many-link
-// campaign holds its sample history in a few percent of the raw
-// 8-bytes-per-sample footprint.
+// Columnar storage for RTT time series: lossless delta/quantized encoding,
+// so a long-horizon many-link campaign holds its sample history in a few
+// percent of the raw 8-bytes-per-sample footprint.
 //
 // Why this exists: the paper's substrate is 6 VPs and a few hundred links,
 // where `std::vector<double>` per link side is fine.  The continent-scale
@@ -43,30 +42,10 @@
 
 namespace ixp::series {
 
-/// Single-pass (Welford) summary of one column.  Missing samples count
-/// toward `samples` but not toward the moments.
-struct StreamStats {
-  std::uint64_t samples = 0;  ///< total appended, including missing
-  std::uint64_t finite = 0;   ///< samples carrying a measurement
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double m2 = 0.0;  ///< sum of squared deviations from the running mean
-
-  void add(double v);
-  [[nodiscard]] double variance() const {
-    return finite > 1 ? m2 / static_cast<double>(finite - 1) : 0.0;
-  }
-  [[nodiscard]] double coverage() const {
-    return samples > 0 ? static_cast<double>(finite) / static_cast<double>(samples) : 1.0;
-  }
-};
-
 /// One encoded column and the codec state needed to keep appending to it.
 struct Column {
   std::vector<std::uint8_t> bytes;  ///< token stream (see file header)
   std::uint64_t samples = 0;        ///< decoded length
-  StreamStats stats;
 
   // Streaming encoder state.
   std::int64_t prev_q = 0;    ///< last quantized value (integer nanoseconds)
@@ -125,11 +104,13 @@ class SeriesStore {
   /// the buffers in SeriesViews on the store's time base.
   void decode_into(std::size_t i, std::vector<double>& near, std::vector<double>& far) const;
 
+  /// Decodes only link `i`'s far column, for readers that never look at
+  /// the near side (live verdicts run the far detector alone).
+  void decode_far_into(std::size_t i, std::vector<double>& far) const;
+
   [[nodiscard]] std::size_t size() const { return links_.size(); }
   [[nodiscard]] const LinkMeta& meta(std::size_t i) const { return links_[i].meta; }
   [[nodiscard]] std::uint64_t samples(std::size_t i) const { return links_[i].near.samples; }
-  [[nodiscard]] const StreamStats& near_stats(std::size_t i) const { return links_[i].near.stats; }
-  [[nodiscard]] const StreamStats& far_stats(std::size_t i) const { return links_[i].far.stats; }
   [[nodiscard]] TimePoint start() const { return start_; }
   [[nodiscard]] Duration interval() const { return interval_; }
 

@@ -47,7 +47,7 @@ struct ServeOptions {
   /// link metadata, never the sample vectors); on_progress/on_verdicts/
   /// metrics are owned by the daemon and must be left unset.
   analysis::CampaignOptions campaign;
-  int jobs = 0;  ///< fleet worker budget (0 = IXP_JOBS, else hardware)
+  int jobs = 0;  ///< fleet worker budget (0 = hardware concurrency)
   /// Fault plan applied to every pass (nullptr = fault-free).  Pass 1 uses
   /// `fault_seed` unchanged -- `afixp chaos --seed S` equivalence -- and
   /// pass p differs by a fixed odd multiple of (p-1).
@@ -58,7 +58,6 @@ struct ServeOptions {
   // HTTP surface.
   int port = 0;  ///< 0 = kernel-assigned; read back via port()
   int http_threads = 2;
-  bool verbose = false;
   std::ostream* log = nullptr;  ///< status lines (nullptr = silent)
 };
 

@@ -6,12 +6,10 @@
 // documents (transit shut-off, port upgrade, member disconnection).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/queue.h"
 #include "util/time.h"
@@ -46,51 +44,14 @@ class DuplexLink {
   [[nodiscard]] NodeId other(NodeId n) const { return n == a_ ? b_ : a_; }
   [[nodiscard]] Duration prop_delay() const { return prop_delay_; }
 
-  /// Changes the propagation delay immediately (models route changes
-  /// inside the neighbor network: the far side moves, the near side does
-  /// not).  Clears any scheduled steps: the immediate setter is the
-  /// legacy "retroactive" API.
-  void set_prop_delay(Duration d) {
-    prop_delay_ = d;
-    prop_steps_.clear();
-  }
-
-  /// Schedules a propagation-delay change taking effect at `at`.  Both
-  /// the event-mode transmit and the analytic walk evaluate the delay at
-  /// the instant the packet crosses the link, so a step never affects
-  /// packets already past the link -- this is what keeps the two modes in
-  /// byte-for-byte agreement across a reroute boundary.
-  void set_prop_delay(TimePoint at, Duration d) { add_step(prop_steps_, at, d); }
-
-  /// Propagation delay in force at `t` (baseline before the first step).
-  [[nodiscard]] Duration prop_delay_at(TimePoint t) const {
-    return value_at(prop_steps_, prop_delay_, t);
-  }
-
   /// Extra one-way delay for the direction leaving `from` (route changes
-  /// that affect only one direction; keeps the reverse path clean).
-  /// Immediate form; clears scheduled steps for that direction.
-  void set_extra_delay_from(NodeId from, Duration d) {
-    (from == a_ ? extra_ab_ : extra_ba_) = d;
-    (from == a_ ? extra_steps_ab_ : extra_steps_ba_).clear();
-  }
-
-  /// Schedules a directional extra-delay change taking effect at `at`
-  /// (a reroute landing mid-campaign).  Evaluated at crossing time, like
-  /// prop-delay steps, so in-flight packets keep the delay they crossed
-  /// with.
-  void set_extra_delay_from(NodeId from, TimePoint at, Duration d) {
-    add_step(from == a_ ? extra_steps_ab_ : extra_steps_ba_, at, d);
-  }
+  /// inside the neighbor network that affect only one direction; keeps the
+  /// reverse path clean).  Takes effect immediately: timeline reroutes
+  /// apply it between probing rounds.
+  void set_extra_delay_from(NodeId from, Duration d) { (from == a_ ? extra_ab_ : extra_ba_) = d; }
 
   [[nodiscard]] Duration extra_delay_from(NodeId from) const {
     return from == a_ ? extra_ab_ : extra_ba_;
-  }
-
-  /// Extra delay in force at `t` for the direction leaving `from`.
-  [[nodiscard]] Duration extra_delay_from(NodeId from, TimePoint t) const {
-    return value_at(from == a_ ? extra_steps_ab_ : extra_steps_ba_,
-                    from == a_ ? extra_ab_ : extra_ba_, t);
   }
 
   /// Queue for the direction leaving node `from`.
@@ -120,27 +81,6 @@ class DuplexLink {
   }
 
  private:
-  using DelaySteps = std::vector<std::pair<TimePoint, Duration>>;
-
-  static void add_step(DelaySteps& steps, TimePoint at, Duration d) {
-    const auto pos = std::upper_bound(
-        steps.begin(), steps.end(), at,
-        [](TimePoint t, const std::pair<TimePoint, Duration>& s) { return t < s.first; });
-    steps.insert(pos, {at, d});
-  }
-
-  /// Value of the most recent step with step.at <= t; `base` before the
-  /// first step.  Steps are few (timeline events), so a linear scan wins
-  /// over binary search for the empty/short cases the hot path sees.
-  [[nodiscard]] static Duration value_at(const DelaySteps& steps, Duration base, TimePoint t) {
-    Duration v = base;
-    for (const auto& [at, d] : steps) {
-      if (at > t) break;
-      v = d;
-    }
-    return v;
-  }
-
   NodeId a_;
   NodeId b_;
   Duration prop_delay_;
@@ -149,9 +89,6 @@ class DuplexLink {
   bool up_ = true;
   Duration extra_ab_{};
   Duration extra_ba_{};
-  DelaySteps prop_steps_;
-  DelaySteps extra_steps_ab_;
-  DelaySteps extra_steps_ba_;
   int ifindex_a_ = -1;
   int ifindex_b_ = -1;
 };

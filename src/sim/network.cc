@@ -92,11 +92,8 @@ bool Network::cross_link(DuplexLink& l, NodeId from, std::uint32_t size_bytes, T
     ++packets_dropped;
     return false;
   }
-  // Delays are evaluated at the crossing instant `t`: a scheduled delay
-  // step (link.h) taking effect later never rewrites this packet's
-  // traversal.
   const Duration delay = q.queuing_delay(t) + q.transmission_delay(size_bytes) +
-                         l.prop_delay_at(t) + l.extra_delay_from(from, t);
+                         l.prop_delay() + l.extra_delay_from(from);
   if (!q.enqueue(t, size_bytes) && q.offered_bps(t) <= q.config().capacity_bps) {
     // Buffer full but not overflowing: a genuine tail drop.  (Under fluid
     // overflow the backlog is pinned at the buffer so every enqueue fails;

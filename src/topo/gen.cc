@@ -12,8 +12,8 @@ enum class Kind { kString, kU64, kInt, kDouble };
 
 // The single source of truth for the spec grammar.  tools/check_docs.sh
 // greps this table and cross-checks every key against docs/SCALING.md in
-// both directions, the same way env knobs are linted against README.md --
-// add a key here and the docs lint fails until SCALING.md documents it.
+// both directions -- add a key here and the docs lint fails until
+// SCALING.md documents it.
 struct KeyDef {
   const char* key;
   Kind kind;
@@ -318,6 +318,14 @@ std::optional<TopoSpec> topo_spec_preset(const std::string& name) {
 
 std::vector<std::string> topo_spec_preset_names() {
   return {"paper6", "regional50", "continent100", "rixp16", "facility8"};
+}
+
+std::optional<TopoSpec> resolve_topo_spec(const std::string& arg, std::string* error) {
+  if (auto spec = topo_spec_preset(arg)) return spec;
+  std::string reason;
+  auto spec = load_topo_spec(arg, &reason);
+  if (!spec && error) *error = "'" + arg + "' is neither a preset nor a spec file: " + reason;
+  return spec;
 }
 
 }  // namespace ixp::topo

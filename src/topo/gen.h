@@ -13,7 +13,7 @@
 //
 // Spec files are `key = value` lines; `#` starts a comment.  The full key
 // list lives in the kSpecKeys table in gen.cc and is linted against
-// docs/SCALING.md by tools/check_docs.sh, the same way env knobs are.
+// docs/SCALING.md by tools/check_docs.sh.
 #pragma once
 
 #include <cstdint>
@@ -94,5 +94,11 @@ std::string validate_topo_spec(const TopoSpec& spec);
 /// "facility8"; see docs/SCENARIOS.md).  Returns nullopt for other names.
 std::optional<TopoSpec> topo_spec_preset(const std::string& name);
 std::vector<std::string> topo_spec_preset_names();
+
+/// Resolves a `--spec` argument: a preset name first, a spec file second,
+/// so the documented tiers never depend on the working directory.  On
+/// failure fills `*error` with "'<arg>' is neither a preset nor a spec
+/// file: <reason>".
+std::optional<TopoSpec> resolve_topo_spec(const std::string& arg, std::string* error);
 
 }  // namespace ixp::topo

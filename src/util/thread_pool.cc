@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include "util/env.h"
-
 namespace ixp {
 
 ThreadPool::ThreadPool(int threads) {
@@ -98,9 +96,6 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 
 int ThreadPool::resolve_jobs(int requested, std::size_t fleet_size) {
   int jobs = requested;
-  if (jobs <= 0) {
-    if (const auto v = env::int_value("IXP_JOBS")) jobs = static_cast<int>(*v);
-  }
   if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
   if (jobs <= 0) jobs = 1;
   if (fleet_size > 0 && static_cast<std::size_t>(jobs) > fleet_size) {

@@ -49,9 +49,9 @@ class ThreadPool {
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// The pool width `requested` resolves to on this host: positive values
-  /// pass through; 0 means "auto" = the IXP_JOBS env var if set, else
-  /// std::thread::hardware_concurrency().  The result is clamped to
-  /// [1, fleet_size] so a six-campaign fleet never spawns idle workers.
+  /// pass through; 0 means "auto" = std::thread::hardware_concurrency().
+  /// The result is clamped to [1, fleet_size] so a six-campaign fleet
+  /// never spawns idle workers.
   static int resolve_jobs(int requested, std::size_t fleet_size);
 
  private:

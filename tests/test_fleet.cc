@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -18,7 +17,6 @@
 #include "analysis/tables.h"
 #include "obs/export.h"
 #include "topo/gen.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace ixp::analysis {
@@ -96,24 +94,12 @@ TEST(ThreadPool, MoreThreadsThanTasks) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ThreadPool, ResolveJobsClampsAndReadsEnv) {
-  // env:: caches its first read, so every setenv/unsetenv must be followed
-  // by a refresh before resolve_jobs can see the new value.
-  unsetenv("IXP_JOBS");
-  env::refresh_for_tests();
+TEST(ThreadPool, ResolveJobsClamps) {
   EXPECT_EQ(ThreadPool::resolve_jobs(4, 6), 4);
   EXPECT_EQ(ThreadPool::resolve_jobs(16, 6), 6);   // clamp to fleet size
   EXPECT_GE(ThreadPool::resolve_jobs(0, 6), 1);    // auto is at least 1
-  setenv("IXP_JOBS", "3", 1);
-  env::refresh_for_tests();
-  EXPECT_EQ(ThreadPool::resolve_jobs(0, 6), 3);    // env fills in auto
-  EXPECT_EQ(ThreadPool::resolve_jobs(0, 2), 2);    // still clamped
-  EXPECT_EQ(ThreadPool::resolve_jobs(5, 6), 5);    // explicit beats env
-  setenv("IXP_JOBS", "garbage", 1);
-  env::refresh_for_tests();
-  EXPECT_GE(ThreadPool::resolve_jobs(0, 6), 1);    // unparsable -> hardware
-  unsetenv("IXP_JOBS");
-  env::refresh_for_tests();
+  EXPECT_LE(ThreadPool::resolve_jobs(0, 2), 2);    // auto is clamped too
+  EXPECT_EQ(ThreadPool::resolve_jobs(5, 6), 5);
 }
 
 // ---------------------------------------------------------------------------

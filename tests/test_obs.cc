@@ -1,5 +1,5 @@
 // Observability layer: registry semantics (counters, gauges, histograms,
-// spans), shard merging, exporter determinism, and the env-knob registry.
+// spans), shard merging and exporter determinism.
 //
 // The load-bearing property is determinism: a registry built from the same
 // values must export the same bytes no matter how the writes were sharded
@@ -9,13 +9,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/golden.h"
 #include "util/time.h"
 
@@ -246,60 +244,6 @@ TEST(Export, HistogramBoundsRoundTripThroughGoldenRecords) {
   ASSERT_NE(loaded->find("bounds"), nullptr);
   EXPECT_EQ(loaded->find("bounds")->values, h->bounds());
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Env knobs
-
-TEST(Env, KnownKnobsCoverTheDocumentedSet) {
-  const auto& knobs = env::known_knobs();
-  auto has = [&](const char* name) {
-    for (const auto& k : knobs) {
-      if (std::string(k.name) == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("IXP_ROUND_MINUTES"));
-  EXPECT_TRUE(has("IXP_FAST"));
-  EXPECT_TRUE(has("IXP_JOBS"));
-  EXPECT_TRUE(has("IXP_PARANOID"));
-  EXPECT_TRUE(has("IXP_FAULT_PLAN"));
-  EXPECT_TRUE(has("IXP_METRICS"));
-  for (const auto& k : knobs) EXPECT_FALSE(std::string(k.summary).empty()) << k.name;
-}
-
-TEST(Env, ParsesCachesAndRefreshes) {
-  setenv("IXP_METRICS", "out.json", 1);
-  env::refresh_for_tests();
-  EXPECT_EQ(env::string_value("IXP_METRICS").value_or(""), "out.json");
-  // Cached: a setenv without refresh is invisible.
-  setenv("IXP_METRICS", "changed.json", 1);
-  EXPECT_EQ(env::string_value("IXP_METRICS").value_or(""), "out.json");
-  env::refresh_for_tests();
-  EXPECT_EQ(env::string_value("IXP_METRICS").value_or(""), "changed.json");
-  unsetenv("IXP_METRICS");
-  env::refresh_for_tests();
-  EXPECT_FALSE(env::string_value("IXP_METRICS").has_value());
-
-  setenv("IXP_ROUND_MINUTES", "7.5", 1);
-  env::refresh_for_tests();
-  EXPECT_DOUBLE_EQ(env::double_value("IXP_ROUND_MINUTES").value_or(0), 7.5);
-  EXPECT_EQ(env::int_value("IXP_ROUND_MINUTES").value_or(0), 7);
-  setenv("IXP_ROUND_MINUTES", "garbage", 1);
-  env::refresh_for_tests();
-  EXPECT_FALSE(env::double_value("IXP_ROUND_MINUTES").has_value());
-  unsetenv("IXP_ROUND_MINUTES");
-  env::refresh_for_tests();
-
-  setenv("IXP_FAST", "1", 1);
-  env::refresh_for_tests();
-  EXPECT_TRUE(env::flag("IXP_FAST"));
-  setenv("IXP_FAST", "0", 1);
-  env::refresh_for_tests();
-  EXPECT_FALSE(env::flag("IXP_FAST"));  // "0" is the off convention
-  unsetenv("IXP_FAST");
-  env::refresh_for_tests();
-  EXPECT_FALSE(env::flag("IXP_FAST"));
 }
 
 }  // namespace

@@ -164,42 +164,6 @@ TEST(Columnar, CompressesTypicalRtts) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming statistics
-
-TEST(StreamStats, MatchesDirectComputation) {
-  Rng rng(5);
-  std::vector<double> v;
-  for (int i = 0; i < 10000; ++i) {
-    v.push_back(rng.chance(0.1) ? tslp::kMissing : rng.uniform(2.0, 50.0));
-  }
-  StreamStats st;
-  for (const double x : v) st.add(x);
-
-  std::uint64_t finite = 0;
-  double sum = 0.0, mn = 1e300, mx = -1e300;
-  for (const double x : v) {
-    if (std::isnan(x)) continue;
-    ++finite;
-    sum += x;
-    mn = std::min(mn, x);
-    mx = std::max(mx, x);
-  }
-  const double mean = sum / static_cast<double>(finite);
-  double m2 = 0.0;
-  for (const double x : v) {
-    if (!std::isnan(x)) m2 += (x - mean) * (x - mean);
-  }
-  EXPECT_EQ(st.samples, v.size());
-  EXPECT_EQ(st.finite, finite);
-  EXPECT_DOUBLE_EQ(st.min, mn);
-  EXPECT_DOUBLE_EQ(st.max, mx);
-  EXPECT_NEAR(st.mean, mean, 1e-9);
-  EXPECT_NEAR(st.variance(), m2 / static_cast<double>(finite - 1), 1e-6);
-  EXPECT_NEAR(st.coverage(), static_cast<double>(finite) / static_cast<double>(v.size()),
-              1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // SeriesStore
 
 TEST(SeriesStore, DecodeMirrorsRawAccumulation) {
@@ -247,8 +211,29 @@ TEST(SeriesStore, LateLinkGetsLeadingGap) {
   EXPECT_TRUE(std::isnan(ls.near_rtt.ms[2]));
   EXPECT_DOUBLE_EQ(ls.near_rtt.ms[3], 7.0);
   EXPECT_DOUBLE_EQ(ls.far_rtt.ms[3], 8.0);
-  // The lead gap counts toward coverage, like explicit kMissing would.
-  EXPECT_NEAR(store.near_stats(b).coverage(), 0.25, 1e-12);
+}
+
+TEST(SeriesStore, FarOnlyDecodeMatchesFullDecode) {
+  SeriesStore store(TimePoint{}, kMinute * 5);
+  Rng rng(9);
+  for (int l = 0; l < 3; ++l) {
+    const std::size_t i = store.add_link({.key = "l"}, static_cast<std::uint64_t>(l));
+    for (int seg = 0; seg < 4; ++seg) {
+      std::vector<double> near, far;
+      for (int k = 0; k < 50; ++k) {
+        near.push_back(rng.chance(0.1) ? tslp::kMissing : rng.uniform(1.0, 9.0));
+        far.push_back(rng.chance(0.1) ? tslp::kMissing : rng.uniform(2.0, 50.0));
+      }
+      store.append(i, near, far);
+    }
+  }
+  std::vector<double> near, far, far_only = {1.0};  // stale contents are cleared
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    store.decode_into(i, near, far);
+    store.decode_far_into(i, far_only);
+    ASSERT_EQ(far_only.size(), far.size());
+    for (std::size_t k = 0; k < far.size(); ++k) EXPECT_TRUE(bit_equal(far_only[k], far[k])) << k;
+  }
 }
 
 }  // namespace

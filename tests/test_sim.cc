@@ -834,92 +834,6 @@ TEST(NetworkEventMode, FabricCrossingMatchesWalk) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Scheduled delay steps (mid-campaign reroutes).  Link delays are evaluated
-// at the instant a packet crosses the link, so a step taking effect
-// mid-flight never rewrites a crossing that already happened -- and the
-// packet oracle stays bit for bit equal to the walk across the boundary.
-// Regression: the immediate set_prop_delay() setter was the only API, so a
-// fault plan firing mid-run retroactively changed packets already past the
-// link.
-
-struct ParityNet : TestNet {
-  ParityNet() {
-    // Zero the ICMP jitter so the RTT differences below are exact sums of
-    // the delay terms.
-    dynamic_cast<Router&>(net.node(r1)).mutable_config().icmp_jitter = Duration(0);
-    dynamic_cast<Router&>(net.node(r2)).mutable_config().icmp_jitter = Duration(0);
-    // Reroute at t=5s: the core link's propagation delay steps 1 ms -> 21 ms.
-    net.link(1).set_prop_delay(TimePoint(kSecond * 5), milliseconds(21));
-  }
-};
-
-TEST(Network, DelayStepMatchesEventAndAnalyticAcrossBoundary) {
-  // Probe instants: fully before the step, straddling it (the forward leg
-  // crosses the core link before t=5s, the reply crosses after), and fully
-  // after.
-  const TimePoint before_t(kSecond * 2);
-  const TimePoint straddle_t(kSecond * 5 - std::chrono::microseconds(200));
-  const TimePoint after_t(kSecond * 10);
-
-  // Walks.
-  ParityNet a;
-  std::vector<ProbeResult> walks;
-  for (const TimePoint at : {before_t, straddle_t, after_t}) {
-    a.net.simulator().advance_to(at);
-    walks.push_back(a.net.probe(a.host, a.probe(a.r2_r1_if, 64)));
-    ASSERT_TRUE(walks.back().answered);
-  }
-
-  // Scheduled packets, same instants, on a separately built but identical
-  // net, all in one run of the oracle's loop.
-  ParityNet e;
-  PacketEngine engine(e.net);
-  std::vector<Duration> rtts;
-  engine.set_rx_callback(e.host, [&](const net::Packet& pkt, TimePoint at) {
-    if (pkt.icmp_type == net::IcmpType::kEchoReply) rtts.push_back(at - pkt.sent_at);
-  });
-  for (const TimePoint at : {before_t, straddle_t, after_t}) {
-    engine.loop().schedule_at(at, [&] {
-      auto pkt = e.probe(e.r2_r1_if, 64);
-      pkt.sent_at = engine.loop().now();
-      engine.send(e.host, pkt);
-    });
-  }
-  engine.loop().run();
-  ASSERT_EQ(rtts.size(), 3u);
-
-  // Bit-for-bit parity on each side of the reroute and across it.
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(rtts[i].count(), walks[i].rtt.count()) << i;
-
-  // The step never acts retroactively: the straddling probe's forward leg
-  // crossed at the old 1 ms delay and only its reply picked up the new
-  // 21 ms, so exactly one of the two 20 ms increments shows up.
-  EXPECT_EQ((walks[1].rtt - walks[0].rtt).count(), milliseconds(20).count());
-  EXPECT_EQ((walks[2].rtt - walks[0].rtt).count(), milliseconds(40).count());
-}
-
-TEST(Network, DelayStepDoesNotRewriteInFlightEventPackets) {
-  // A packet already past the link when the step fires must arrive on the
-  // old delay's schedule: launch at t=4.9998s (crossing the core at the
-  // 1 ms delay), then confirm the round trip picks up one 20 ms increment
-  // (the reply's), not two.
-  ParityNet e;
-  PacketEngine engine(e.net);
-  TimePoint got{};
-  engine.set_rx_callback(e.host, [&](const net::Packet& pkt, TimePoint at) {
-    if (pkt.icmp_type == net::IcmpType::kEchoReply) got = at;
-  });
-  const TimePoint launch(kSecond * 5 - std::chrono::microseconds(200));
-  engine.loop().schedule_at(launch, [&] { engine.send(e.host, e.probe(e.r2_r1_if, 64)); });
-  engine.loop().run();
-  ASSERT_NE(got, TimePoint{});
-  // Forward leg on the old delay (~1.12 ms to reach r2), reply on the new
-  // one: total stays far below the 42 ms a retroactive rewrite would give.
-  EXPECT_LT((got - launch).count(), milliseconds(30).count());
-  EXPECT_GT((got - launch).count(), milliseconds(22).count());
-}
-
 // Builds host -- rs -- target, with the target routing its replies back over
 // a chain of `n` extra routers (asymmetric return path).
 struct AsymmetricNet {
@@ -1135,9 +1049,9 @@ struct Mutation {
   int kind = 0;
   int m = 0;           ///< member it touches
   int o = 0;           ///< another member (the detour's next hop)
-  bool coin = false;   ///< which link / which delay kind
-  double a_ms = 0.0;   ///< delay-step offset, forwarding latency
-  double b_ms = 0.0;   ///< delay-step value
+  bool coin = false;   ///< which link / which delay direction
+  double a_ms = 0.0;   ///< forwarding latency
+  double b_ms = 0.0;   ///< extra one-way delay
 };
 
 Mutation draw_mutation(Rng& script) {
@@ -1187,14 +1101,10 @@ void apply(PlanFabric& f, const Mutation& mu) {
     case 8:  // record-route filtering switched on/off
       member.mutable_config().rr_filtered = !member.config().rr_filtered;
       break;
-    case 9: {  // a delay step lands a few milliseconds from now
-      const TimePoint at = f.net.simulator().now() + milliseconds(mu.a_ms);
+    case 9: {  // a reroute adds one-way delay to one direction of the uplink
       DuplexLink& l = f.net.link(f.member_links[mu.m]);
-      if (mu.coin) {
-        l.set_prop_delay(at, milliseconds(mu.b_ms));
-      } else {
-        l.set_extra_delay_from(member.id(), at, milliseconds(mu.b_ms));
-      }
+      l.set_extra_delay_from(mu.coin ? member.id() : l.other(member.id()),
+                             milliseconds(mu.b_ms));
       break;
     }
     case 10:  // forwarding latency changes (read live, never re-resolved)

@@ -42,7 +42,6 @@
 #include "prober/warts_lite.h"
 #include "serve/serve.h"
 #include "tslp/classifier.h"
-#include "util/env.h"
 #include "util/fault_plan.h"
 #include "util/flags.h"
 #include "util/strings.h"
@@ -51,35 +50,6 @@
 namespace {
 
 using namespace ixp;
-
-// Keep this list in sync with README "Environment knobs" and the knob
-// registry in src/util/env.cc (tools/check_docs.sh cross-checks them).
-constexpr const char* kEnvHelp =
-    "environment knobs:\n"
-    "  IXP_ROUND_MINUTES  TSLP probing cadence in minutes for table/bench\n"
-    "                     campaigns (default 30; the paper probed every 5)\n"
-    "  IXP_FAST           when set (and not 0), shorten campaigns to 6 weeks\n"
-    "                     (smoke-test mode for the table benches)\n"
-    "  IXP_JOBS           default worker-thread count for fleet runs when\n"
-    "                     --jobs is 0/absent (else hardware concurrency,\n"
-    "                     clamped to the number of campaigns)\n"
-    "  IXP_PARANOID       when set (and not 0), enable the runtime invariant\n"
-    "                     checks (episode ordering, fluid-queue backlog\n"
-    "                     bounds, series indexing) in every component\n"
-    "  IXP_FAULT_PLAN     default fault plan name for `afixp chaos` when\n"
-    "                     --plan is absent (else 'default'); see\n"
-    "                     `afixp chaos --list-plans`\n"
-    "  IXP_METRICS        default --metrics-out path for campaign/tables/\n"
-    "                     chaos when the flag is absent (.prom/.txt writes\n"
-    "                     Prometheus text, anything else afixp-obs/1 JSON)\n";
-
-/// --metrics-out flag value, falling back to the IXP_METRICS knob.  Empty
-/// means "do not export".
-std::string resolve_metrics_out(const Flags& flags) {
-  const std::string path = flags.get_string("metrics-out");
-  if (!path.empty()) return path;
-  return env::string_value("IXP_METRICS").value_or("");
-}
 
 /// --round-minutes through the shared cadence check; nullopt, with the
 /// message on stderr, when the value is below 1.
@@ -110,7 +80,7 @@ int cmd_campaign(int argc, const char* const* argv) {
   flags.add_string("out", "", "warts-lite capture path (empty = no capture)");
   flags.add_string("report", "", "Markdown report path (empty = stdout summary only)");
   flags.add_string("metrics-out", "",
-                   "metrics registry export path (default IXP_METRICS; empty = off)");
+                   "metrics registry export path (empty = off)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
@@ -133,7 +103,7 @@ int cmd_campaign(int argc, const char* const* argv) {
   opt.round_interval = *interval;
   if (flags.get_int("days") > 0) opt.duration_override = kDay * flags.get_int("days");
   obs::Registry metrics_reg;
-  const std::string metrics_out = resolve_metrics_out(flags);
+  const std::string metrics_out = flags.get_string("metrics-out");
   if (!metrics_out.empty()) opt.metrics = &metrics_reg;
   const auto result = analysis::run_campaign(*rt, spec, opt);
 
@@ -205,17 +175,17 @@ int cmd_tables(int argc, const char* const* argv) {
   Flags flags("afixp tables", "regenerate the paper's Table 1 and Table 2");
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
+  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
   flags.add_string("report", "", "write the combined multi-VP Markdown report here");
   flags.add_string("metrics-out", "",
-                   "fleet metrics registry export path (default IXP_METRICS; empty = off); "
+                   "fleet metrics registry export path (empty = off); "
                    "byte-identical for any --jobs");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
   }
   if (flags.help_requested()) {
-    std::cout << flags.help_text() << "\n" << kEnvHelp;
+    std::cout << flags.help_text();
     return 0;
   }
   const auto interval = round_interval_flag(flags);
@@ -256,7 +226,7 @@ int cmd_tables(int argc, const char* const* argv) {
     analysis::write_combined_report(f, pairs);
     std::cout << "combined report: " << rep << "\n";
   }
-  return export_metrics(resolve_metrics_out(flags), fleet.registry);
+  return export_metrics(flags.get_string("metrics-out"), fleet.registry);
 }
 
 int cmd_selftest(int argc, const char* const* argv) {
@@ -286,22 +256,21 @@ int cmd_selftest(int argc, const char* const* argv) {
 int cmd_chaos(int argc, const char* const* argv) {
   Flags flags("afixp chaos",
               "run the six VP campaigns under a fault plan and score the classifier");
-  flags.add_string("plan", "",
-                   "fault plan name (empty = IXP_FAULT_PLAN, else 'default')");
+  flags.add_string("plan", "default", "fault plan name (see --list-plans)");
   flags.add_int("seed", 1, "fault seed; same plan+seed replays byte-identically");
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
+  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
   flags.add_bool("list-plans", false, "list the built-in fault plans and exit");
   flags.add_string("metrics-out", "",
-                   "fleet metrics registry export path (default IXP_METRICS; empty = off)");
+                   "fleet metrics registry export path (empty = off)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
   }
   if (flags.help_requested()) {
-    std::cout << flags.help_text() << "\n" << kEnvHelp;
+    std::cout << flags.help_text();
     return 0;
   }
   if (flags.get_bool("list-plans")) {
@@ -316,11 +285,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   }
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
-  std::string plan_name = flags.get_string("plan");
-  if (plan_name.empty()) {
-    plan_name = env::string_value("IXP_FAULT_PLAN").value_or("");
-    if (plan_name.empty()) plan_name = "default";
-  }
+  const std::string plan_name = flags.get_string("plan");
   const ScenarioPlan* plan = find_plan(plan_name);
   if (plan == nullptr) {
     std::cerr << "unknown scenario plan '" << plan_name << "'; known plans:";
@@ -417,7 +382,7 @@ int cmd_chaos(int argc, const char* const* argv) {
                            r.classified ? "congested" : "clean",
                            ok ? "ok" : "MISMATCH");
   }
-  if (const int rc = export_metrics(resolve_metrics_out(flags), fleet.registry); rc != 0) {
+  if (const int rc = export_metrics(flags.get_string("metrics-out"), fleet.registry); rc != 0) {
     return rc;
   }
   return score.case_studies_ok() ? 0 : 1;
@@ -440,9 +405,9 @@ int cmd_serve(int argc, const char* const* argv) {
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
+  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
   flags.add_string("metrics-out", "",
-                   "shutdown metrics flush path (default IXP_METRICS; empty = off)");
+                   "shutdown metrics flush path (empty = off)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
@@ -452,7 +417,6 @@ int cmd_serve(int argc, const char* const* argv) {
     for (const auto& e : serve::ServeDaemon::endpoints()) {
       std::cout << strformat("  %-28s %s\n", e.pattern, e.help);
     }
-    std::cout << "\n" << kEnvHelp;
     return 0;
   }
   const auto interval = round_interval_flag(flags);
@@ -499,15 +463,11 @@ int cmd_serve(int argc, const char* const* argv) {
       sopt.specs = analysis::make_all_vps();
     }
   } else {
-    std::optional<topo::TopoSpec> spec = topo::topo_spec_preset(spec_arg);
+    std::string err;
+    const auto spec = topo::resolve_topo_spec(spec_arg, &err);
     if (!spec) {
-      std::string err;
-      spec = topo::load_topo_spec(spec_arg, &err);
-      if (!spec) {
-        std::cerr << "--spec '" << spec_arg << "' is neither a preset nor a spec file: "
-                  << err << "\n";
-        return 2;
-      }
+      std::cerr << "--spec " << err << "\n";
+      return 2;
     }
     sopt.specs = analysis::generate_substrate(*spec);
   }
@@ -539,7 +499,7 @@ int cmd_serve(int argc, const char* const* argv) {
       static_cast<unsigned long long>(daemon.epochs_published()),
       static_cast<unsigned long long>(daemon.http().requests_served()),
       static_cast<unsigned long long>(daemon.http().bad_requests()));
-  if (const int mrc = export_metrics(resolve_metrics_out(flags), daemon.registry());
+  if (const int mrc = export_metrics(flags.get_string("metrics-out"), daemon.registry());
       mrc != 0) {
     return mrc;
   }
@@ -559,15 +519,15 @@ int cmd_gen(int argc, const char* const* argv) {
   flags.add_int("seed", 0, "override the spec's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = the spec's)");
   flags.add_int("round-minutes", 5, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = IXP_JOBS, else hardware)");
+  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
   flags.add_string("metrics-out", "",
-                   "fleet metrics registry export path (default IXP_METRICS; empty = off)");
+                   "fleet metrics registry export path (empty = off)");
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     return 2;
   }
   if (flags.help_requested()) {
-    std::cout << flags.help_text() << "\n" << kEnvHelp;
+    std::cout << flags.help_text();
     return 0;
   }
   const auto interval = round_interval_flag(flags);
@@ -581,18 +541,11 @@ int cmd_gen(int argc, const char* const* argv) {
     return 0;
   }
 
-  // The spec argument is a preset name first, a file path second -- so the
-  // documented tiers never depend on the working directory.
-  const std::string spec_arg = flags.get_string("spec");
-  std::optional<topo::TopoSpec> spec = topo::topo_spec_preset(spec_arg);
+  std::string error;
+  std::optional<topo::TopoSpec> spec = topo::resolve_topo_spec(flags.get_string("spec"), &error);
   if (!spec) {
-    std::string error;
-    spec = topo::load_topo_spec(spec_arg, &error);
-    if (!spec) {
-      std::cerr << "--spec '" << spec_arg << "' is neither a preset nor a spec file: "
-                << error << "\n";
-      return 2;
-    }
+    std::cerr << "--spec " << error << "\n";
+    return 2;
   }
   if (flags.get_int("seed") > 0) spec->seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   if (flags.get_int("days") > 0) spec->days = static_cast<int>(flags.get_int("days"));
@@ -653,7 +606,7 @@ int cmd_gen(int argc, const char* const* argv) {
       human_bytes(static_cast<double>(resident)).c_str(),
       human_bytes(static_cast<double>(raw)).c_str(),
       resident > 0 ? static_cast<double>(raw) / static_cast<double>(resident) : 0.0);
-  return export_metrics(resolve_metrics_out(flags), fleet.registry);
+  return export_metrics(flags.get_string("metrics-out"), fleet.registry);
 }
 
 int cmd_casebook(int argc, const char* const* argv) {
@@ -705,7 +658,7 @@ void print_usage(std::ostream& out) {
   for (const Command& c : kCommands) {
     out << strformat("  %-9s %s\n", c.name, c.summary);
   }
-  out << "\nrun 'afixp <command> --help' for the command's flags\n\n" << kEnvHelp;
+  out << "\nrun 'afixp <command> --help' for the command's flags\n";
 }
 
 }  // namespace

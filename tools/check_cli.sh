@@ -1,12 +1,13 @@
 #!/bin/sh
 # CLI dispatch lint, run from CTest (see tools/CMakeLists.txt).
 #
-# The afixp front door must hold five properties: the top-level usage text
+# The afixp front door must hold six properties: the top-level usage text
 # enumerates every subcommand (the dispatch table is the single source, so
 # a new subcommand cannot be reachable-but-undocumented), unknown or
 # missing subcommands exit non-zero with usage on stderr, every subcommand
 # answers --help with exit 0, retired subcommands and flags stay gone,
-# and bad flag values are usage errors (exit 2) before any work starts.
+# bad flag values are usage errors (exit 2) before any work starts, and
+# flags are the only run configuration (no environment defaults).
 #
 # usage: check_cli.sh <afixp_binary>
 set -u
@@ -93,6 +94,17 @@ usage_error serve --rounds -1
 names_flag --rounds "serve --rounds -1"
 usage_error serve --http-threads 0
 names_flag --http-threads "serve --http-threads 0"
+
+# --- 6. Flags are the only run configuration ------------------------------
+# The retired IXP_METRICS default must not write a file, and --help prints
+# no environment-knob block.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+IXP_METRICS="$tmp/m.json" "$afixp" tables --fast --round-minutes 240 --jobs 1 \
+    > /dev/null 2>&1 || err "'afixp tables --fast --round-minutes 240 --jobs 1' failed"
+[ -e "$tmp/m.json" ] && err "IXP_METRICS still makes 'afixp tables' write $tmp/m.json"
+"$afixp" tables --help 2>&1 | grep -q "environment knobs:" &&
+    err "'afixp tables --help' still prints an environment knobs: block"
 
 if [ "$errors" -gt 0 ]; then
     echo "check_cli: FAILED ($errors problem(s))" >&2

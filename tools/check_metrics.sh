@@ -5,8 +5,8 @@
 # with `--jobs 1` and `--jobs 8` must write byte-identical metrics files
 # (JSON and Prometheus) and byte-identical stdout.  Per-VP registries are
 # single-writer shards merged in spec order, so the job count must never
-# leak into the exported bytes.  Also exercises the IXP_METRICS default
-# path and the suffix dispatch to the Prometheus writer.
+# leak into the exported bytes.  Also exercises the suffix dispatch to the
+# Prometheus writer.
 #
 # usage: check_metrics.sh <afixp_binary>
 set -u
@@ -47,15 +47,15 @@ fi
 grep -q '"schema": "afixp-obs/1"' "$tmp/m1.json" ||
     { echo "check_metrics: m1.json lacks the afixp-obs/1 schema tag" >&2; exit 1; }
 
-# --- Prometheus suffix dispatch + IXP_METRICS default path ----------------
+# --- Prometheus suffix dispatch -------------------------------------------
 # shellcheck disable=SC2086
-if ! IXP_METRICS="$tmp/m.prom" "$afixp" tables $opts --jobs 2 \
+if ! "$afixp" tables $opts --jobs 2 --metrics-out "$tmp/m.prom" \
         > /dev/null 2> /dev/null; then
-    echo "check_metrics: IXP_METRICS run exited non-zero" >&2
+    echo "check_metrics: --metrics-out m.prom run exited non-zero" >&2
     exit 1
 fi
 [ -s "$tmp/m.prom" ] ||
-    { echo "check_metrics: IXP_METRICS did not produce $tmp/m.prom" >&2; exit 1; }
+    { echo "check_metrics: --metrics-out did not produce $tmp/m.prom" >&2; exit 1; }
 grep -q '^# TYPE afixp_campaign_probes_sent_total counter' "$tmp/m.prom" ||
     { echo "check_metrics: m.prom lacks the probes-sent TYPE line" >&2; exit 1; }
 
