@@ -57,8 +57,10 @@ analysis::VpSpec sweep_spec(double a_w_ms, double overload) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
+  Flags flags("bench_ablation_queue", "validating the fluid-queue substitution");
+  bench::parse_flags_or_exit(flags, argc, argv);
   std::cout << "bench_ablation_queue: validating the fluid-queue substitution\n";
 
   std::cout << "\n[1] buffer depth -> measured A_w (the paper's 'magnitude = router buffer')\n";

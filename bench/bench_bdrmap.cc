@@ -13,8 +13,10 @@
 #include "bench_common.h"
 #include "registry/registry.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
+  Flags flags("bench_bdrmap", "neighbor/link discovery accuracy vs ground truth");
+  bench::parse_flags_or_exit(flags, argc, argv);
   std::cout << "bench_bdrmap: neighbor/link discovery accuracy vs ground truth\n";
   std::cout << "(paper: 96.2% of VP neighbors correctly discovered on average)\n\n";
   std::cout << strformat("%-5s | %9s %9s | %9s | %12s %12s\n", "VP", "nbr", "link", "false",

@@ -5,8 +5,11 @@
 // be re-plotted.  The table benches run the full campaign at a fixed
 // 30-minute cadence; `afixp tables` prints the same two tables at any
 // cadence, window or fleet width (--round-minutes, --fast, --jobs).  The
-// figure and detector benches take one flag:
+// figure 2-4 and detector benches take one flag:
 //   --fast               shorten campaigns (smoke-test mode)
+// and bench_fig1, bench_bdrmap, bench_ablation_queue and the table benches
+// take none.  Each one still parses its argv (parse_flags_or_exit), so a
+// mistyped flag is a usage error instead of a silent full run.
 #pragma once
 
 #include <cstdlib>
@@ -25,13 +28,10 @@
 
 namespace ixp::bench {
 
-/// Parses a figure or detector bench's one flag and returns whether
-/// --fast was given.  A usage error ends the bench with exit status 2;
-/// --help prints the flag and exits 0.
-inline bool parse_fast_flag(int argc, const char* const* argv, const char* name,
-                            const char* summary) {
-  Flags flags(name, summary);
-  flags.add_bool("fast", false, "shorter campaigns and sweeps (smoke-test mode)");
+/// Parses a bench's flags.  A usage error -- an unknown flag, a malformed
+/// value, or any positional argument, since no bench takes one -- ends the
+/// bench with exit status 2; --help prints the flags and exits 0.
+inline void parse_flags_or_exit(Flags& flags, int argc, const char* const* argv) {
   if (!flags.parse(argc, argv)) {
     std::cerr << flags.error() << "\n";
     std::exit(2);
@@ -40,6 +40,19 @@ inline bool parse_fast_flag(int argc, const char* const* argv, const char* name,
     std::cout << flags.help_text();
     std::exit(0);
   }
+  if (!flags.positional().empty()) {
+    std::cerr << "unexpected argument '" << flags.positional().front() << "'\n";
+    std::exit(2);
+  }
+}
+
+/// Parses a figure or detector bench's one flag and returns whether
+/// --fast was given.
+inline bool parse_fast_flag(int argc, const char* const* argv, const char* name,
+                            const char* summary) {
+  Flags flags(name, summary);
+  flags.add_bool("fast", false, "shorter campaigns and sweeps (smoke-test mode)");
+  parse_flags_or_exit(flags, argc, argv);
   return flags.get_bool("fast");
 }
 

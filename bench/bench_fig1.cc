@@ -10,8 +10,10 @@
 #include "prober/prober.h"
 #include "tslp/classifier.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
+  Flags flags("bench_fig1", "GIXA-GHANATEL phase 1 (Figure 1)");
+  bench::parse_flags_or_exit(flags, argc, argv);
   using topo::date;
   std::cout << "bench_fig1: GIXA-GHANATEL phase 1 (the congested 100 Mb/s transit link)\n";
 

@@ -11,8 +11,11 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
+  Flags flags("bench_table1",
+              "threshold sensitivity of congested-link labeling (Table 1, full campaign)");
+  bench::parse_flags_or_exit(flags, argc, argv);
   std::cout << "bench_table1: threshold sensitivity of congested-link labeling\n";
   std::cout << "cadence: " << format_duration(bench::kTableRoundInterval) << "  (full campaign)\n";
 

@@ -6,8 +6,11 @@
 
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ixp;
+  Flags flags("bench_table2",
+              "evolution of discovered links / neighbors / congestion (Table 2, full campaign)");
+  bench::parse_flags_or_exit(flags, argc, argv);
   std::cout << "bench_table2: evolution of discovered links / neighbors / congestion\n";
   std::cout << "cadence: " << format_duration(bench::kTableRoundInterval) << "\n";
 

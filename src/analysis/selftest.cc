@@ -97,7 +97,9 @@ GoldenRecord case_level_shift_merge() {
   return rec;
 }
 
-// Raw change-point detection on a three-level staircase with seeded noise.
+// Raw change-point detection on a three-level staircase with seeded noise,
+// through the detector's own entry and segment builder: the level before
+// and after change point k are segments k and k + 1.
 GoldenRecord case_changepoint_staircase() {
   Rng rng(202);
   std::vector<double> v;
@@ -105,18 +107,18 @@ GoldenRecord case_changepoint_staircase() {
     const double level = i < 200 ? 10.0 : (i < 400 ? 25.0 : 14.0);
     v.push_back(level + 0.5 * rng.normal());
   }
-  const auto cps = stats::detect_change_points(v);
+  stats::ChangePointScratch scratch;
+  const auto& cps = stats::detect_change_point_indices(v, {}, scratch);
+  const auto segs = stats::to_segments(v, cps);
   GoldenRecord rec;
-  std::vector<double> index, confidence, before, after;
-  for (const auto& cp : cps) {
-    index.push_back(static_cast<double>(cp.index));
-    confidence.push_back(cp.confidence);
-    before.push_back(cp.level_before);
-    after.push_back(cp.level_after);
+  std::vector<double> index, before, after;
+  for (std::size_t k = 0; k < cps.size(); ++k) {
+    index.push_back(static_cast<double>(cps[k]));
+    before.push_back(segs[k].level);
+    after.push_back(segs[k + 1].level);
   }
   rec.set("change_point_count", static_cast<double>(cps.size()));
   rec.set("change_point_index", index);
-  rec.set("change_point_confidence", confidence, kTol);
   rec.set("level_before", before, kTol);
   rec.set("level_after", after, kTol);
   return rec;

@@ -2,8 +2,9 @@
 // driven by `afixp selftest` and the `selftest` CTest entry).
 //
 // Each case builds a small synthetic RTT/loss fixture with analytically
-// known structure (episode positions, magnitudes, periods), runs the real
-// statistics path (LevelShiftDetector, detect_change_points, diurnal_score,
+// known structure (episode positions, magnitudes, periods), runs the
+// production statistics path (LevelShiftDetector,
+// detect_change_point_indices with to_segments, diurnal_score,
 // correlate_loss, CongestionClassifier), and serializes the outputs into a
 // util/golden.h record.  The records checked into tests/golden/ pin those
 // outputs: any silent numeric drift -- truncation, merge, indexing, seed

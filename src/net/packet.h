@@ -1,9 +1,7 @@
 // In-simulator packet model.
 //
-// The simulator moves Packet objects; wire.h can encode/decode them to real
-// IPv4/ICMP bytes (used by the warts-lite capture format and by tests that
-// check protocol conformance).  Fields mirror what scamper's TSLP probing
-// actually uses: ICMP echo with a caller-chosen TTL, plus the IPv4
+// The simulator moves Packet objects.  Fields mirror what scamper's TSLP
+// probing actually uses: ICMP echo with a caller-chosen TTL, plus the IPv4
 // record-route option for path-symmetry checks.
 #pragma once
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "stats/descriptive.h"
 #include "stats/ranks.h"
+#include "util/rng.h"
 #include "util/simd.h"
 
 namespace ixp::stats {
@@ -38,93 +38,6 @@ std::size_t cusum_extremum(std::span<const double> v, double m) {
   }
   return at;
 }
-
-struct Detector {
-  const CusumOptions& opt;
-  Rng rng;
-  std::vector<std::size_t> found;
-
-  // Bootstrap with early exit: once the number of exceedances guarantees
-  // the confidence cannot reach the bar, stop shuffling.
-  double confidence_of(std::span<const double> v) {
-    const double m = mean(v);
-    if (std::isnan(m)) return 0.0;
-    const double observed = cusum_range(v, m);
-    if (observed <= 0) return 0.0;
-    std::vector<double> shuffled(v.begin(), v.end());
-    const int rounds = std::max(1, opt.bootstrap_rounds);
-    const int max_fail = static_cast<int>(std::floor((1.0 - opt.confidence) * rounds));
-    int below = 0;
-    for (int r = 0; r < rounds; ++r) {
-      // Fisher-Yates; reshuffling the previous permutation stays uniform.
-      for (std::size_t i = shuffled.size(); i > 1; --i) {
-        const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-        std::swap(shuffled[i - 1], shuffled[j]);
-      }
-      if (cusum_range(shuffled, m) < observed) {
-        ++below;
-      } else if (r - below >= max_fail + 1) {
-        // Even if every remaining round lands below, the bar is missed.
-        return static_cast<double>(below) / rounds;
-      }
-    }
-    return static_cast<double>(below) / rounds;
-  }
-
-  void recurse(std::span<const double> v, std::size_t offset) {
-    if (v.size() < 2 * opt.min_segment) return;
-    const double conf = confidence_of(v);
-    if (conf < opt.confidence) return;
-    const double m = mean(v);
-    const std::size_t ext = cusum_extremum(v, m);
-    const std::size_t split = ext + 1;  // first index of the new level
-    if (split < opt.min_segment || v.size() - split < opt.min_segment) return;
-    found.push_back(offset + split);
-    recurse(v.subspan(0, split), offset);
-    recurse(v.subspan(split), offset + split);
-  }
-};
-
-// Bit-exact inline clone of ixp::Rng (splitmix64 seeding + xoshiro256++).
-// The index path must replay Detector's draw sequence exactly -- the
-// stream spans a whole recursion, so any divergence shifts every later
-// decision -- and the out-of-line Rng::next() call is a measurable slice
-// of the bootstrap (~57k draws per confident() call at the paper's window
-// size).  Any change to util/rng.cc must land here too; the equivalence
-// suites in tests/test_tslp.cc, which compare against the scalar oracle in
-// tests/oracle/, fail loudly if the streams drift.
-class InlineXoshiro {
- public:
-  explicit InlineXoshiro(std::uint64_t seed) {
-    std::uint64_t x = seed;
-    for (auto& s : s_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
-    }
-    if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-  }
-  std::uint64_t next() {
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
-
- private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  std::uint64_t s_[4];
-};
 
 /// Grows the per-span division tables to cover spans up to `n`.  Each span
 /// ever seen pays its two divisions once; the bootstrap then replaces
@@ -233,24 +146,27 @@ bool cusum_below_int(std::span<const std::int32_t> v, std::int64_t observed_scal
   return true;
 }
 
-// The scratch-reusing twin of Detector, producing the identical accepted
-// index set from the identical draw stream.  Differences from
-// Detector::confidence_of, none of which can change a decision or a draw:
+// The bootstrap recursion.  Each confidence test shuffles the window with
+// Fisher-Yates draws that follow Rng::uniform_int's rejection rule, so the
+// draw stream is the one a plain uniform_int loop would consume.  The
+// work per draw is trimmed in ways that cannot change a decision or a draw:
 //   * the shuffle buffer is recycled and filled with NaN -> mean
-//     substituted values (see cusum_below for why that is bit-exact);
-//   * Fisher-Yates draws replay Rng::uniform_int's rejection loop with an
-//     inlined generator and a table-driven exact modulo;
+//     substituted values (see cusum_below for why that is bit-exact), or
+//     with the exact-integer image of the window when it has one;
+//   * the modulo is table-driven (exact multiply-high, ensure_mod_tables);
 //   * a bootstrap round whose comparison can no longer affect the verdict
 //     (acceptance already sealed) skips the swaps and the CUSUM but still
 //     advances the generator through the round's draws, rejections
-//     included, so the stream position stays in lockstep;
-//   * the failure exit (r - below >= max_fail + 1) is the one Detector
-//     also takes; a success exit that *stopped drawing* would desync the
-//     stream for the rest of the recursion, which is why sealed rounds
-//     drain draws instead of returning.
+//     included, so the stream position is what the full round leaves;
+//   * the failure exit (r - below >= max_fail + 1) stops drawing only
+//     where the plain loop would stop too; a success exit that stopped
+//     drawing would desync the stream for the rest of the recursion,
+//     which is why sealed rounds drain draws instead of returning.
+// tests/oracle/ keeps the plain loop, and ChangePoint.IndicesMatchOracle
+// holds this recursion to it index for index.
 struct IndexDetector {
   const CusumOptions& opt;
-  InlineXoshiro rng;
+  Rng rng;
   ChangePointScratch& scratch;
 
   // The shared bootstrap round loop; `scan` judges one shuffled buffer.
@@ -279,7 +195,7 @@ struct IndexDetector {
         }
         continue;
       }
-      // Fisher-Yates; identical draw sequence to Detector::confidence_of.
+      // Fisher-Yates, one uniform_int(0, i - 1) draw per slot.
       for (std::size_t i = n; i > 1; --i) {
         std::uint64_t u = rng.next();
         if (u >= limit[i]) [[unlikely]] {
@@ -338,28 +254,6 @@ struct IndexDetector {
   }
 };
 
-// ranks() with caller-owned buffers; same values in the same order.
-void ranks_into(std::span<const double> v, std::vector<double>& out,
-                std::vector<std::size_t>& idx) {
-  const std::size_t n = v.size();
-  out.assign(n, std::numeric_limits<double>::quiet_NaN());
-  idx.clear();
-  idx.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::isfinite(v[i])) idx.push_back(i);
-  }
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
-  std::size_t i = 0;
-  while (i < idx.size()) {
-    std::size_t j = i;
-    while (j + 1 < idx.size() && v[idx[j + 1]] == v[idx[i]]) ++j;
-    // Mid-rank for the tie group [i, j].
-    const double r = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) out[idx[k]] = r;
-    i = j + 1;
-  }
-}
-
 }  // namespace
 
 const std::vector<std::size_t>& detect_change_point_indices(std::span<const double> v,
@@ -372,85 +266,20 @@ const std::vector<std::size_t>& detect_change_point_indices(std::span<const doub
   }
   scratch.found.clear();
   ensure_mod_tables(scratch, input.size());
-  IndexDetector det{opt, InlineXoshiro(opt.seed), scratch};
+  IndexDetector det{opt, Rng(opt.seed), scratch};
   det.recurse(input, 0);
   std::sort(scratch.found.begin(), scratch.found.end());
   scratch.found.erase(std::unique(scratch.found.begin(), scratch.found.end()), scratch.found.end());
   return scratch.found;
 }
 
-std::vector<double> cusum_path(std::span<const double> v) {
-  const double m = mean(v);
-  std::vector<double> path;
-  path.reserve(v.size() + 1);
-  double s = 0;
-  path.push_back(0);
-  for (double x : v) {
-    if (std::isfinite(x) && !std::isnan(m)) s += x - m;
-    path.push_back(s);
-  }
-  return path;
-}
-
-double change_confidence(std::span<const double> v, int rounds, Rng& rng) {
-  const double m = mean(v);
-  if (std::isnan(m)) return 0.0;
-  const double observed = cusum_range(v, m);
-  if (observed <= 0) return 0.0;
-  std::vector<double> shuffled(v.begin(), v.end());
-  int below = 0;
-  for (int r = 0; r < rounds; ++r) {
-    for (std::size_t i = shuffled.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(shuffled[i - 1], shuffled[j]);
-    }
-    if (cusum_range(shuffled, m) < observed) ++below;
-  }
-  return static_cast<double>(below) / std::max(1, rounds);
-}
-
-std::vector<ChangePoint> detect_change_points(std::span<const double> v, const CusumOptions& opt) {
-  std::vector<double> work;
-  std::span<const double> input = v;
-  if (opt.use_ranks) {
-    work = ranks(v);
-    input = work;
-  }
-
-  Detector det{opt, Rng(opt.seed), {}};
-  det.recurse(input, 0);
-  std::sort(det.found.begin(), det.found.end());
-  det.found.erase(std::unique(det.found.begin(), det.found.end()), det.found.end());
-
-  // Levels are reported in the original units (not ranks): medians of the
-  // segments on each side of the split.
-  std::vector<ChangePoint> cps;
-  cps.reserve(det.found.size());
-  std::size_t prev = 0;
-  for (std::size_t k = 0; k < det.found.size(); ++k) {
-    const std::size_t idx = det.found[k];
-    const std::size_t next = (k + 1 < det.found.size()) ? det.found[k + 1] : v.size();
-    ChangePoint cp;
-    cp.index = idx;
-    // Re-estimate confidence on the local window for reporting purposes.
-    Rng rng(opt.seed ^ (idx * 0x9e3779b97f4a7c15ULL));
-    std::span<const double> window = input.subspan(prev, next - prev);
-    cp.confidence = change_confidence(window, opt.bootstrap_rounds, rng);
-    cp.level_before = median(v.subspan(prev, idx - prev));
-    cp.level_after = median(v.subspan(idx, next - idx));
-    cps.push_back(cp);
-    prev = idx;
-  }
-  return cps;
-}
-
-std::vector<Segment> to_segments(std::span<const double> v, const std::vector<ChangePoint>& cps) {
+std::vector<Segment> to_segments(std::span<const double> v, std::span<const std::size_t> cps) {
   std::vector<Segment> segs;
   std::size_t begin = 0;
-  for (const auto& cp : cps) {
-    if (cp.index <= begin || cp.index > v.size()) continue;
-    segs.push_back({begin, cp.index, median(v.subspan(begin, cp.index - begin))});
-    begin = cp.index;
+  for (const std::size_t cp : cps) {
+    if (cp <= begin || cp > v.size()) continue;
+    segs.push_back({begin, cp, median(v.subspan(begin, cp - begin))});
+    begin = cp;
   }
   if (begin < v.size()) {
     segs.push_back({begin, v.size(), median(v.subspan(begin))});

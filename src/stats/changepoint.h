@@ -17,8 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.h"
-
 namespace ixp::stats {
 
 struct CusumOptions {
@@ -34,30 +32,12 @@ struct CusumOptions {
   std::uint64_t seed = 0x5eed5eedULL;
 };
 
-struct ChangePoint {
-  std::size_t index;      ///< first sample of the new level
-  double confidence;      ///< bootstrap confidence in [0, 1]
-  double level_before;    ///< median of the segment ending at index-1
-  double level_after;     ///< median of the segment starting at index
-};
-
 /// A maximal run of samples between consecutive change points.
 struct Segment {
   std::size_t begin;  ///< inclusive
   std::size_t end;    ///< exclusive
   double level;       ///< median of the finite samples inside
 };
-
-/// CUSUM S_i of deviations from the mean; S_0 = 0, size = v.size() + 1.
-/// NaN samples contribute zero deviation (they neither raise nor lower).
-std::vector<double> cusum_path(std::span<const double> v);
-
-/// Bootstrap confidence that `v` contains a change point (Taylor's
-/// Sdiff-based estimator).  Returns a value in [0, 1].
-double change_confidence(std::span<const double> v, int rounds, Rng& rng);
-
-/// Full recursive change-point detection.
-std::vector<ChangePoint> detect_change_points(std::span<const double> v, const CusumOptions& opt = {});
 
 /// Reusable buffers for detect_change_point_indices: the TSLP fast path
 /// calls it once per analysis window, so the rank array, the bootstrap's
@@ -82,19 +62,19 @@ struct ChangePointScratch {
   std::vector<std::uint64_t> mod_limit;
 };
 
-/// Accepted change-point *indices* only: the same recursion as
-/// detect_change_points -- identical indices for identical input, options,
-/// and seed -- without the per-point confidence re-estimation and segment
-/// medians the reporting variant computes.  The level-shift detector
-/// discards those, and the re-estimation repeats the full bootstrap per
-/// accepted point, so this is the hot-path entry (the bootstrap *decisions*
-/// replay the exact same RNG stream; only the discarded reporting work is
-/// skipped).  Returns a reference to scratch.found, valid until reuse.
+/// Recursive change-point detection: the accepted change-point indices
+/// (first sample of each new level), sorted and unique.  A window is split
+/// at its CUSUM extremum when the bootstrap confidence reaches
+/// opt.confidence and both sides keep opt.min_segment samples; the two
+/// halves then recurse with the same generator, so the result depends only
+/// on the input, the options and the seed.  Returns a reference to
+/// scratch.found, valid until reuse.
 const std::vector<std::size_t>& detect_change_point_indices(std::span<const double> v,
                                                             const CusumOptions& opt,
                                                             ChangePointScratch& scratch);
 
-/// Converts change points into level segments covering [0, n).
-std::vector<Segment> to_segments(std::span<const double> v, const std::vector<ChangePoint>& cps);
+/// Converts sorted change-point indices into level segments covering
+/// [0, n): segment k ends where change point k starts the next level.
+std::vector<Segment> to_segments(std::span<const double> v, std::span<const std::size_t> cps);
 
 }  // namespace ixp::stats

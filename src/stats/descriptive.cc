@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace ixp::stats {
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-}
-
-std::vector<double> drop_nan(std::span<const double> v) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  for (double x : v) {
-    if (std::isfinite(x)) out.push_back(x);
-  }
-  return out;
 }
 
 std::size_t finite_count(std::span<const double> v) {
@@ -36,21 +28,6 @@ double mean(std::span<const double> v) {
     }
   }
   return n == 0 ? kNaN : sum / static_cast<double>(n);
-}
-
-double stddev(std::span<const double> v) {
-  const double m = mean(v);
-  if (std::isnan(m)) return kNaN;
-  double ss = 0;
-  std::size_t n = 0;
-  for (double x : v) {
-    if (std::isfinite(x)) {
-      ss += (x - m) * (x - m);
-      ++n;
-    }
-  }
-  if (n < 2) return kNaN;
-  return std::sqrt(ss / static_cast<double>(n - 1));
 }
 
 double quantile(std::span<const double> v, double q) {
@@ -166,25 +143,6 @@ double quantile_inplace(std::span<double> finite, double q) {
 }
 
 double median(std::span<const double> v) { return quantile(v, 0.5); }
-
-double mad(std::span<const double> v) {
-  const double med = median(v);
-  if (std::isnan(med)) return kNaN;
-  std::vector<double> dev;
-  dev.reserve(v.size());
-  for (double x : v) {
-    if (std::isfinite(x)) dev.push_back(std::fabs(x - med));
-  }
-  return 1.4826 * median(dev);
-}
-
-double min_value(std::span<const double> v) {
-  double best = kNaN;
-  for (double x : v) {
-    if (std::isfinite(x) && (std::isnan(best) || x < best)) best = x;
-  }
-  return best;
-}
 
 double max_value(std::span<const double> v) {
   double best = kNaN;

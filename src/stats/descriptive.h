@@ -7,15 +7,11 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ixp::stats {
 
 /// Arithmetic mean of finite entries; NaN if none.
 double mean(std::span<const double> v);
-
-/// Sample standard deviation (n-1 denominator); NaN if fewer than 2 entries.
-double stddev(std::span<const double> v);
 
 /// Median of finite entries; NaN if none.
 double median(std::span<const double> v);
@@ -31,17 +27,10 @@ double quantile(std::span<const double> v, double q);
 /// there is a single copy of the interpolation math.
 double quantile_inplace(std::span<double> finite, double q);
 
-/// Median absolute deviation (scaled by 1.4826 to be sigma-consistent).
-double mad(std::span<const double> v);
-
-/// Minimum / maximum of finite entries; NaN if none.
-double min_value(std::span<const double> v);
+/// Maximum of finite entries; NaN if none.
 double max_value(std::span<const double> v);
 
 /// Count of finite (non-NaN) entries.
 std::size_t finite_count(std::span<const double> v);
-
-/// Copy with NaN entries removed.
-std::vector<double> drop_nan(std::span<const double> v);
 
 }  // namespace ixp::stats

@@ -8,9 +8,17 @@
 namespace ixp::stats {
 
 std::vector<double> ranks(std::span<const double> v) {
-  const std::size_t n = v.size();
-  std::vector<double> out(n, std::numeric_limits<double>::quiet_NaN());
+  std::vector<double> out;
   std::vector<std::size_t> idx;
+  ranks_into(v, out, idx);
+  return out;
+}
+
+void ranks_into(std::span<const double> v, std::vector<double>& out,
+                std::vector<std::size_t>& idx) {
+  const std::size_t n = v.size();
+  out.assign(n, std::numeric_limits<double>::quiet_NaN());
+  idx.clear();
   idx.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (std::isfinite(v[i])) idx.push_back(i);
@@ -25,7 +33,6 @@ std::vector<double> ranks(std::span<const double> v) {
     for (std::size_t k = i; k <= j; ++k) out[idx[k]] = r;
     i = j + 1;
   }
-  return out;
 }
 
 double mann_whitney_u(std::span<const double> a, std::span<const double> b) {

@@ -6,6 +6,7 @@
 // responses produce.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -14,6 +15,11 @@ namespace ixp::stats {
 /// Fractional (mid) ranks, 1-based, ties averaged.  NaN entries receive
 /// rank NaN and do not consume rank mass.
 std::vector<double> ranks(std::span<const double> v);
+
+/// ranks() into caller-owned buffers: `out` receives the ranks, `idx` is
+/// sort scratch.  The change-point detector recycles both across windows.
+void ranks_into(std::span<const double> v, std::vector<double>& out,
+                std::vector<std::size_t>& idx);
 
 /// Mann-Whitney U statistic of `a` against `b` (NaNs skipped).
 double mann_whitney_u(std::span<const double> a, std::span<const double> b);

@@ -119,15 +119,7 @@ void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
   std::sort(cps.begin(), cps.end());
   cps.erase(std::unique(cps.begin(), cps.end()), cps.end());
 
-  scratch.cp_structs.clear();
-  scratch.cp_structs.reserve(cps.size());
-  for (const std::size_t idx : cps) {
-    stats::ChangePoint cp;
-    cp.index = idx;
-    cp.confidence = 1.0;
-    scratch.cp_structs.push_back(cp);
-  }
-  out.segments = stats::to_segments(v, scratch.cp_structs);
+  out.segments = stats::to_segments(v, cps);
 
   // Elevated segments -> raw episodes, with the coverage support test from
   // the prefix counts instead of a per-segment loop.

@@ -59,7 +59,6 @@ struct DetectScratch {
   stats::ChangePointScratch cp;
   std::vector<double> finite;               ///< isfinite compaction buffer
   std::vector<std::size_t> cps;             ///< global change-point indices
-  std::vector<stats::ChangePoint> cp_structs;
 };
 
 /// The detector.  Classification (CongestionClassifier::classify) and

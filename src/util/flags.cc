@@ -130,6 +130,7 @@ bool Flags::get_bool(const std::string& name) const {
 
 std::string Flags::help_text() const {
   std::string out = program_ + " -- " + summary_ + "\n\nflags:\n";
+  if (flags_.empty()) out += "  (none)\n";
   for (const auto& [name, flag] : flags_) {
     out += strformat("  --%-18s %s (default: %s)\n", name.c_str(), flag.help.c_str(),
                      flag.value.c_str());

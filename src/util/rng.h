@@ -23,7 +23,19 @@ class Rng {
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
 
   result_type operator()() { return next(); }
-  std::uint64_t next();
+  /// Defined here so hot loops (the change-point bootstrap draws ~57k
+  /// values per confidence test) inline it.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -48,6 +60,10 @@ class Rng {
   Rng fork();
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -10,9 +10,100 @@
 #include "stats/descriptive.h"
 #include "stats/ranks.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace ixp::oracle {
+namespace {
+
+// CUSUM range (max - min of the CUSUM path) -- Taylor's Sdiff statistic.
+// NaN entries contribute zero deviation.
+double cusum_range(std::span<const double> v, double m) {
+  double s = 0, lo = 0, hi = 0;
+  for (double x : v) {
+    if (std::isfinite(x)) s += x - m;
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
+  }
+  return hi - lo;
+}
+
+// Index of the CUSUM extremum: the last sample of the old level.
+std::size_t cusum_extremum(std::span<const double> v, double m) {
+  double s = 0, best = -1;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (std::isfinite(v[i])) s += v[i] - m;
+    if (std::fabs(s) > best) {
+      best = std::fabs(s);
+      at = i;
+    }
+  }
+  return at;
+}
+
+struct Detector {
+  const stats::CusumOptions& opt;
+  Rng rng;
+  std::vector<std::size_t> found;
+
+  // Bootstrap with early exit: once the number of exceedances guarantees
+  // the confidence cannot reach the bar, stop shuffling.
+  double confidence_of(std::span<const double> v) {
+    const double m = stats::mean(v);
+    if (std::isnan(m)) return 0.0;
+    const double observed = cusum_range(v, m);
+    if (observed <= 0) return 0.0;
+    std::vector<double> shuffled(v.begin(), v.end());
+    const int rounds = std::max(1, opt.bootstrap_rounds);
+    const int max_fail = static_cast<int>(std::floor((1.0 - opt.confidence) * rounds));
+    int below = 0;
+    for (int r = 0; r < rounds; ++r) {
+      // Fisher-Yates; reshuffling the previous permutation stays uniform.
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(shuffled[i - 1], shuffled[j]);
+      }
+      if (cusum_range(shuffled, m) < observed) {
+        ++below;
+      } else if (r - below >= max_fail + 1) {
+        // Even if every remaining round lands below, the bar is missed.
+        return static_cast<double>(below) / rounds;
+      }
+    }
+    return static_cast<double>(below) / rounds;
+  }
+
+  void recurse(std::span<const double> v, std::size_t offset) {
+    if (v.size() < 2 * opt.min_segment) return;
+    const double conf = confidence_of(v);
+    if (conf < opt.confidence) return;
+    const double m = stats::mean(v);
+    const std::size_t ext = cusum_extremum(v, m);
+    const std::size_t split = ext + 1;  // first index of the new level
+    if (split < opt.min_segment || v.size() - split < opt.min_segment) return;
+    found.push_back(offset + split);
+    recurse(v.subspan(0, split), offset);
+    recurse(v.subspan(split), offset + split);
+  }
+};
+
+}  // namespace
+
+std::vector<std::size_t> change_point_indices(std::span<const double> v,
+                                              const stats::CusumOptions& opt) {
+  std::vector<double> work;
+  std::span<const double> input = v;
+  if (opt.use_ranks) {
+    work = stats::ranks(v);
+    input = work;
+  }
+  Detector det{opt, Rng(opt.seed), {}};
+  det.recurse(input, 0);
+  std::sort(det.found.begin(), det.found.end());
+  det.found.erase(std::unique(det.found.begin(), det.found.end()), det.found.end());
+  return det.found;
+}
 
 using tslp::Episode;
 using tslp::LevelShiftOptions;
@@ -77,8 +168,8 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
     ++out.windows_scanned;
     stats::CusumOptions copt = opts.cusum;
     copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
-    for (const auto& cp : stats::detect_change_points(chunk, copt)) {
-      cps.push_back(begin + cp.index);
+    for (const std::size_t idx : change_point_indices(chunk, copt)) {
+      cps.push_back(begin + idx);
     }
     // Window boundaries are implicit change points so segment levels never
     // average across windows.
@@ -88,15 +179,7 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
   cps.erase(std::unique(cps.begin(), cps.end()), cps.end());
 
   // Build segments over the whole series.
-  std::vector<stats::ChangePoint> cp_structs;
-  cp_structs.reserve(cps.size());
-  for (const std::size_t idx : cps) {
-    stats::ChangePoint cp;
-    cp.index = idx;
-    cp.confidence = 1.0;
-    cp_structs.push_back(cp);
-  }
-  out.segments = stats::to_segments(v, cp_structs);
+  out.segments = stats::to_segments(v, cps);
 
   // Elevated segments -> raw episodes.  Episodes whose span is mostly
   // missing are unsupported: the segment level rests on too few samples.

@@ -4,19 +4,31 @@
 // the online detector) is byte-identical to the straightforward per-series
 // pipeline below on every input.  These functions are that pipeline,
 // written for obviousness rather than speed: the change-point recursion is
-// stats::detect_change_points (the reporting entry, with its own
-// generator), every range count is a loop, every quantile a fresh
-// stats::quantile call, and the weekday/weekend split classifies each
-// sample through to_calendar.  The equivalence suites in
-// tests/test_tslp.cc and bench/bench_tslp's `scalar` row compare against
-// them.
+// change_point_indices below (a plain bootstrap loop with its own generator
+// and one Rng::uniform_int draw per Fisher-Yates slot), every range count
+// is a loop, every quantile a fresh stats::quantile call, and the
+// weekday/weekend split classifies each sample through to_calendar.  The
+// equivalence suites in tests/test_tslp.cc, ChangePoint.IndicesMatchOracle
+// in tests/test_stats.cc and bench/bench_tslp's `scalar` row compare
+// against them.
 #pragma once
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "stats/changepoint.h"
 #include "tslp/classifier.h"
 #include "tslp/level_shift.h"
 #include "tslp/series.h"
 
 namespace ixp::oracle {
+
+/// Taylor's recursive bootstrap CUSUM, the reference for
+/// stats::detect_change_point_indices: sorted, unique change-point indices
+/// (first sample of each new level) for the same input, options and seed.
+std::vector<std::size_t> change_point_indices(std::span<const double> v,
+                                              const stats::CusumOptions& opt);
 
 /// The scalar level-shift pipeline: coverage and gaps, 10th-percentile
 /// baseline, 50%-overlapping window scan with the darkness and quiet-spread

@@ -2,7 +2,6 @@
 
 #include "net/ipv4.h"
 #include "net/prefix_map.h"
-#include "net/wire.h"
 #include "util/rng.h"
 
 namespace ixp::net {
@@ -162,120 +161,6 @@ TEST(PrefixMap, RandomizedAgainstLinearReference) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Wire format
-
-Packet make_probe() {
-  Packet p;
-  p.src = Ipv4Address(41, 0, 0, 2);
-  p.dst = Ipv4Address(196, 49, 0, 7);
-  p.ttl = 3;
-  p.icmp_type = IcmpType::kEchoRequest;
-  p.ident = 0x8123;
-  p.seq = 77;
-  p.size_bytes = 64;
-  return p;
-}
-
-TEST(Wire, ChecksumKnownVector) {
-  // RFC 1071 example bytes.
-  const std::uint8_t data[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
-  const std::uint16_t sum = internet_checksum(data);
-  // Verifying: a packet including its own checksum sums to zero.
-  std::uint8_t with_sum[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7,
-                             static_cast<std::uint8_t>(sum >> 8),
-                             static_cast<std::uint8_t>(sum & 0xff)};
-  EXPECT_EQ(internet_checksum(with_sum), 0);
-}
-
-TEST(Wire, EncodeDecodeRoundTrip) {
-  const Packet p = make_probe();
-  const auto bytes = encode_packet(p);
-  ASSERT_GE(bytes.size(), 28u);
-  const auto decoded = decode_packet(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->src, p.src);
-  EXPECT_EQ(decoded->dst, p.dst);
-  EXPECT_EQ(decoded->ttl, p.ttl);
-  EXPECT_EQ(decoded->icmp_type, p.icmp_type);
-  EXPECT_EQ(decoded->ident, p.ident);
-  EXPECT_EQ(decoded->seq, p.seq);
-  EXPECT_FALSE(decoded->record_route);
-}
-
-TEST(Wire, RecordRouteRoundTrip) {
-  Packet p = make_probe();
-  p.record_route = true;
-  p.route_stamps = {Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2)};
-  const auto bytes = encode_packet(p);
-  const auto decoded = decode_packet(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->record_route);
-  ASSERT_EQ(decoded->route_stamps.size(), 2u);
-  EXPECT_EQ(decoded->route_stamps[0], p.route_stamps[0]);
-  EXPECT_EQ(decoded->route_stamps[1], p.route_stamps[1]);
-}
-
-TEST(Wire, TimeExceededQuotesProbe) {
-  Packet p = make_probe();
-  p.icmp_type = IcmpType::kTimeExceeded;
-  p.quoted_ident = 0x8123;
-  p.quoted_seq = 99;
-  p.ident = 0;
-  p.seq = 0;
-  const auto decoded = decode_packet(encode_packet(p));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->quoted_ident, 0x8123);
-  EXPECT_EQ(decoded->quoted_seq, 99);
-}
-
-TEST(Wire, RejectsCorruptedChecksum) {
-  auto bytes = encode_packet(make_probe());
-  bytes[20] ^= 0xff;  // flip a byte in the ICMP header
-  EXPECT_FALSE(decode_packet(bytes).has_value());
-}
-
-TEST(Wire, RejectsTruncated) {
-  const auto bytes = encode_packet(make_probe());
-  for (std::size_t len : {0u, 10u, 19u, 27u}) {
-    EXPECT_FALSE(decode_packet(std::span(bytes.data(), len)).has_value());
-  }
-}
-
-TEST(Wire, RejectsWrongVersion) {
-  auto bytes = encode_packet(make_probe());
-  bytes[0] = (6u << 4) | (bytes[0] & 0x0f);
-  EXPECT_FALSE(decode_packet(bytes).has_value());
-}
-
-TEST(Wire, MaxRecordRouteSlots) {
-  Packet p = make_probe();
-  p.record_route = true;
-  for (int i = 0; i < kMaxRecordRouteSlots; ++i) {
-    p.route_stamps.emplace_back(static_cast<std::uint32_t>(0x0a000001 + i));
-  }
-  const auto decoded = decode_packet(encode_packet(p));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->route_stamps.size(), static_cast<std::size_t>(kMaxRecordRouteSlots));
-}
-
-// Property sweep: round trip across TTLs and sizes.
-class WireRoundTrip : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(WireRoundTrip, Holds) {
-  Packet p = make_probe();
-  p.ttl = static_cast<std::uint8_t>(std::get<0>(GetParam()));
-  p.size_bytes = static_cast<std::uint32_t>(std::get<1>(GetParam()));
-  const auto decoded = decode_packet(encode_packet(p));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->ttl, p.ttl);
-  EXPECT_GE(decoded->size_bytes, 28u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, WireRoundTrip,
-                         ::testing::Combine(::testing::Values(1, 2, 32, 64, 255),
-                                            ::testing::Values(28, 64, 128, 1500)));
 
 }  // namespace
 }  // namespace ixp::net

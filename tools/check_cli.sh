@@ -7,13 +7,20 @@
 # missing subcommands exit non-zero with usage on stderr, every subcommand
 # answers --help with exit 0, retired subcommands and flags stay gone,
 # bad flag values are usage errors (exit 2) before any work starts, and
-# flags are the only run configuration (no environment defaults).
+# flags are the only run configuration (no environment defaults).  The
+# benches that take no flags still parse their argv: a stray argument is a
+# usage error and --help answers without running the bench.
 #
-# usage: check_cli.sh <afixp_binary>
+# usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary>
 set -u
 
-afixp=${1:?usage: check_cli.sh <afixp_binary>}
-[ -x "$afixp" ] || { echo "check_cli: cannot execute $afixp" >&2; exit 1; }
+usage="usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary>"
+afixp=${1:?$usage}
+bench_fig1=${2:?$usage}
+bench_table1=${3:?$usage}
+for b in "$afixp" "$bench_fig1" "$bench_table1"; do
+    [ -x "$b" ] || { echo "check_cli: cannot execute $b" >&2; exit 1; }
+done
 
 errors=0
 err() {
@@ -105,6 +112,24 @@ IXP_METRICS="$tmp/m.json" "$afixp" tables --fast --round-minutes 240 --jobs 1 \
 [ -e "$tmp/m.json" ] && err "IXP_METRICS still makes 'afixp tables' write $tmp/m.json"
 "$afixp" tables --help 2>&1 | grep -q "environment knobs:" &&
     err "'afixp tables --help' still prints an environment knobs: block"
+
+# --- 7. Flagless benches reject arguments --------------------------------
+# Both would otherwise run a full bench (bench_table1: the whole six-VP
+# fleet over the full calendar), so a hang or a fleet status line on
+# stderr is a failure too.
+"$bench_fig1" --bogus > /dev/null 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || err "'bench_fig1 --bogus' exited $rc, expected 2"
+"$bench_fig1" stray > /dev/null 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || err "'bench_fig1 stray' exited $rc, expected 2"
+t1_out=$("$bench_table1" --help 2>&1)
+rc=$?
+[ "$rc" -eq 0 ] || err "'bench_table1 --help' exited $rc, expected 0"
+echo "$t1_out" | grep -q "^bench_table1 -- " ||
+    err "'bench_table1 --help' prints no help text"
+echo "$t1_out" | grep -q "fleet" &&
+    err "'bench_table1 --help' started a fleet"
 
 if [ "$errors" -gt 0 ]; then
     echo "check_cli: FAILED ($errors problem(s))" >&2
