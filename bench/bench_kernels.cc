@@ -1,11 +1,13 @@
 // Microbenchmarks of the library's computational kernels (google-benchmark):
-// the rank-based CUSUM detector, fluid-queue integration, longest-prefix
-// FIB lookups and the serving layer's per-epoch fold + freeze.  These are
-// throughput sanity checks for the campaign drivers and the daemon, not
-// paper results.
+// the rank-based CUSUM detector, the online detector's finalize, fluid-queue
+// integration, longest-prefix FIB lookups and the serving layer's per-epoch
+// fold + freeze.  These are throughput sanity checks for the campaign
+// drivers and the daemon, not paper results.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "sim/queue.h"
 #include "stats/changepoint.h"
 #include "tslp/level_shift.h"
+#include "tslp/online.h"
 #include "util/rng.h"
 
 namespace {
@@ -56,6 +59,35 @@ void BM_LevelShiftDay(benchmark::State& state) {
                           static_cast<std::int64_t>(s.ms.size()));
 }
 BENCHMARK(BM_LevelShiftDay)->Arg(30)->Arg(365);
+
+void BM_OnlineFinalize(benchmark::State& state) {
+  // What a Table-2 snapshot still costs per link at a daily boundary of an
+  // online campaign: the far detector, pushed at the 5 ms floor over a
+  // prefix of 30-minute rounds with a daily plateau, finalized at the
+  // classifier's 10 ms threshold: the prepare pass, the re-gate of the
+  // completed windows, the scan of the trailing half-day window no push
+  // completed, and the assembly.
+  tslp::RttSeries s;
+  s.interval = kMinute * 30;
+  Rng rng(5);
+  for (int d = 0; d < static_cast<int>(state.range(0)); ++d) {
+    for (int i = 0; i < 48; ++i) {
+      const double hour = i / 2.0;
+      s.ms.push_back((hour > 12 && hour < 18 ? 22.0 : 2.0) + 0.3 * std::fabs(rng.normal()));
+    }
+  }
+  tslp::LevelShiftOptions push;
+  push.threshold_ms = 5.0;
+  tslp::OnlineLevelShift far(push, s.start, s.interval);
+  far.push(std::span<const double>(s.ms));
+  tslp::DetectScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(far.finalize(tslp::view_of(s), scratch, 10.0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s.ms.size()));
+}
+BENCHMARK(BM_OnlineFinalize)->Arg(7);
 
 void BM_FluidQueueAdvance(benchmark::State& state) {
   sim::DiurnalProfile::Config cfg;

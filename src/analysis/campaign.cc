@@ -154,9 +154,22 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   // Buffers shared by the sweeps over the store below (snapshots, live
   // verdicts, final classification): each decodes one link at a time, so
   // the working set stays a single series regardless of fleet scale.
-  std::vector<double> near_buf, far_buf;
+  std::vector<double> far_buf;
   tslp::LinkSeries window;
   tslp::DetectScratch scratch;
+  // Table 2's snapshot.  While the trailing 60-day window is still the
+  // whole series and ends on the last pushed round, an online campaign's
+  // detectors have already scanned every complete window of it: the near
+  // detector runs at the snapshot's near options, and the far one (pushed
+  // at the 5 ms floor) finalizes at the classifier threshold, which is
+  // exact (see the threshold replay in tslp/online.h).  Each daily
+  // boundary then costs one far assembly per link (and a near one per link
+  // with far episodes) instead of a re-scan of its whole prefix.  A
+  // sliding window past day 60 cannot reuse the detectors: the
+  // bootstrap seed is keyed to the window begin *within the slice*, so its
+  // change points differ from the ones the detectors accepted on the full
+  // series.  Those, snapshots off the round grid (the window ends before
+  // the last pushed round) and offline campaigns classify from scratch.
   auto record_snapshot = [&](TimePoint at, const bdrmap::BdrmapResult& b) {
     SnapshotResult snap;
     snap.at = at;
@@ -182,16 +195,29 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
           std::min<std::size_t>(grid.index_of(at), static_cast<std::size_t>(store->samples(li)));
       if (n < min_samples) continue;  // not enough data to judge
       const std::size_t begin = n > window_samples ? n - window_samples : 0;
-      store->decode_into(li, near_buf, far_buf);
+      store->decode_into(li, window.near_rtt.ms, window.far_rtt.ms);
       window.key = m.key;
       window.near_rtt.start = grid.time_of(begin);
       window.near_rtt.interval = opt.round_interval;
       window.far_rtt.start = window.near_rtt.start;
       window.far_rtt.interval = opt.round_interval;
-      window.near_rtt.ms.assign(near_buf.begin() + static_cast<std::ptrdiff_t>(begin),
-                                near_buf.begin() + static_cast<std::ptrdiff_t>(n));
-      window.far_rtt.ms.assign(far_buf.begin() + static_cast<std::ptrdiff_t>(begin),
-                               far_buf.begin() + static_cast<std::ptrdiff_t>(n));
+      if (opt.online && begin == 0 && n == online_far[li].samples_seen()) {
+        tslp::LevelShiftResult far = online_far[li].finalize(
+            tslp::view_of(window.far_rtt), scratch, opt.classifier.level_shift.threshold_ms);
+        // A link without far episodes is kNotCongested whatever its near
+        // side shows (classify_with_shifts stops there), so most links
+        // skip the near finalize.
+        if (!far.any()) continue;
+        const tslp::LinkReport r = classifier.classify_with_shifts(
+            window, std::move(far),
+            online_near[li].finalize(tslp::view_of(window.near_rtt), scratch));
+        if (r.congested()) ++snap.congested_links;
+        continue;
+      }
+      for (auto* ms : {&window.near_rtt.ms, &window.far_rtt.ms}) {
+        ms->resize(n);
+        ms->erase(ms->begin(), ms->begin() + static_cast<std::ptrdiff_t>(begin));
+      }
       if (classifier.classify(window).congested()) ++snap.congested_links;
     }
     // Location cross-check over the inferred peering links.
@@ -244,9 +270,10 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec, const Cam
   };
 
   // Live verdicts for the serving layer: finalize every link's online far
-  // detector against its far series-so-far (the near column is not read).  The window scans already ran as
-  // rounds completed, so this is only the assembly tail per link; finalize
-  // does not mutate the detector, so later segments keep pushing into it.
+  // detector against its far series-so-far (the near column is not read).
+  // The window scans already ran as rounds completed, so this is only the
+  // assembly tail per link; finalize does not mutate the detector, so
+  // later segments keep pushing into it.
   auto report_verdicts = [&](TimePoint at) {
     if (!opt.online || !opt.on_verdicts) return;
     LiveVerdictBatch batch;

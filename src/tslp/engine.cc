@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "stats/descriptive.h"
 #include "stats/ranks.h"
@@ -14,10 +15,14 @@ namespace {
 
 using detail::WindowOutcome;
 
-// The darkness and quiet-spread gates of scan_window, no detection.
+// The darkness and quiet-spread gates of scan_window, no detection.  A
+// window that passes leaves its p95 - p05 spread in `spread` (+inf when the
+// quiet gate is off: such a window is scanned at any threshold).
 WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
-                          const LevelShiftOptions& opts, std::vector<double>& finite_buf) {
+                          const LevelShiftOptions& opts, std::vector<double>& finite_buf,
+                          double& spread) {
   if (finite < opts.min_finite_window) return WindowOutcome::kDark;
+  spread = std::numeric_limits<double>::infinity();
   if (opts.skip_quiet_windows) {
     double lo = 0.0, hi = 0.0;
     // No finite sample: the prefilter's quantiles would be NaN, and
@@ -34,7 +39,8 @@ WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
     // multiset the first did -- both values match fresh quantile() calls.
     const double q95 = stats::quantile_inplace(fb, 0.95);
     const double q05 = stats::quantile_inplace(fb, 0.05);
-    if (!(q95 - q05 >= opts.threshold_ms / 2.0)) return WindowOutcome::kQuiet;
+    spread = q95 - q05;
+    if (!(spread >= opts.threshold_ms / 2.0)) return WindowOutcome::kQuiet;
   }
   return WindowOutcome::kScanned;
 }
@@ -45,8 +51,9 @@ namespace detail {
 
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
                           const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
-                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps) {
-  const WindowOutcome gate = gate_window(chunk, finite, opts, finite_buf);
+                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps,
+                          double& spread) {
+  const WindowOutcome gate = gate_window(chunk, finite, opts, finite_buf, spread);
   if (gate != WindowOutcome::kScanned) return gate;
   stats::CusumOptions copt = opts.cusum;
   copt.seed ^= begin * 0x9e3779b97f4a7c15ULL;  // distinct bootstrap streams
@@ -95,7 +102,9 @@ void scan_windows(const SeriesView& series, const LevelShiftOptions& opts, std::
     const std::size_t end = std::min(begin + win, v.size());
     const std::span<const double> chunk(v.data() + begin, end - begin);
     const std::size_t finite = scratch.index.not_nan(begin, end);
-    switch (scan_window(chunk, begin, finite, opts, scratch.cp, scratch.finite, scratch.cps)) {
+    double spread = 0.0;
+    switch (scan_window(chunk, begin, finite, opts, scratch.cp, scratch.finite, scratch.cps,
+                        spread)) {
       case WindowOutcome::kDark:
         ++out.windows_skipped_dark;
         break;

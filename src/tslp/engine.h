@@ -82,10 +82,15 @@ bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
 /// change-point detection with the window's perturbed seed.  Accepted
 /// global indices are appended to `cps`.  The online detector calls it as
 /// each window fills, so a window is processed identically no matter when
-/// its samples arrived.  `finite` must be the chunk's not-NaN count.
+/// its samples arrived.  `finite` must be the chunk's not-NaN count.  A
+/// scanned window's p95 - p05 spread is left in `spread` (+inf when
+/// skip_quiet_windows is off); the accepted change points do not depend on
+/// opts.threshold_ms, so the spread alone decides whether the window would
+/// also be scanned at a higher threshold.
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
                           const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
-                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps);
+                          std::vector<double>& finite_buf, std::vector<std::size_t>& cps,
+                          double& spread);
 
 /// The window loop: scans the 50%-overlapping windows of `win` samples
 /// whose begins are first_begin, first_begin + win/2, ... up to the series

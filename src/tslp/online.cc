@@ -51,7 +51,10 @@ void OnlineLevelShift::process_ready() {
   while (next_begin_ + win_ <= n_) {
     const std::span<const double> chunk(pending_.data() + (next_begin_ - base_), win_);
     const std::size_t finite = simd::count_not_nan(chunk);
-    switch (detail::scan_window(chunk, next_begin_, finite, opts_, s.cp, s.finite, cps_)) {
+    const std::size_t cps_begin = cps_.size();
+    double spread = 0.0;
+    switch (detail::scan_window(chunk, next_begin_, finite, opts_, s.cp, s.finite, cps_,
+                                spread)) {
       case detail::WindowOutcome::kDark:
         ++windows_skipped_dark_;
         break;
@@ -59,10 +62,10 @@ void OnlineLevelShift::process_ready() {
         ++windows_skipped_quiet_;
         break;
       case detail::WindowOutcome::kScanned:
-        ++windows_scanned_;
         // Whether this end is an implicit change point depends on the
-        // *final* series length, unknown until finalize -- record it.
-        scanned_ends_.push_back(next_begin_ + win_);
+        // *final* series length, unknown until finalize -- record it, with
+        // what a finalize at a higher threshold needs to re-gate it.
+        scanned_.push_back({next_begin_ + win_, spread, cps_begin, cps_.size()});
         break;
     }
     next_begin_ += stride_;
@@ -76,27 +79,44 @@ void OnlineLevelShift::process_ready() {
 }
 
 LevelShiftResult OnlineLevelShift::finalize(const SeriesView& full, DetectScratch& scratch) const {
+  return finalize(full, scratch, opts_.threshold_ms);
+}
+
+LevelShiftResult OnlineLevelShift::finalize(const SeriesView& full, DetectScratch& scratch,
+                                            double threshold_ms) const {
   IXP_CHECK(full.ms.size() == n_,
             strformat("online detector saw %zu samples but finalize got a view of %zu", n_,
                       full.ms.size()));
   IXP_CHECK(full.start == start_ && full.interval == interval_,
             "finalize view time base differs from the push time base");
+  IXP_CHECK(threshold_ms >= opts_.threshold_ms,
+            strformat("finalize threshold %g ms is below the push threshold %g ms", threshold_ms,
+                      opts_.threshold_ms));
+  LevelShiftOptions opts = opts_;
+  opts.threshold_ms = threshold_ms;
 
   LevelShiftResult out;
   std::size_t win = 0;
-  if (!detail::prepare_series(full, opts_, scratch, out, win)) return out;
-  out.windows_scanned = windows_scanned_;
+  if (!detail::prepare_series(full, opts, scratch, out, win)) return out;
   out.windows_skipped_dark = windows_skipped_dark_;
   out.windows_skipped_quiet = windows_skipped_quiet_;
 
-  scratch.cps.assign(cps_.begin(), cps_.end());
-  for (const std::size_t end : scanned_ends_) {
-    if (end < full.ms.size()) scratch.cps.push_back(end);
+  // Re-gate the scanned windows at `threshold_ms` (exact: see the header).
+  scratch.cps.clear();
+  for (const ScannedWindow& w : scanned_) {
+    if (!(w.spread >= threshold_ms / 2.0)) {
+      ++out.windows_skipped_quiet;
+      continue;
+    }
+    ++out.windows_scanned;
+    scratch.cps.insert(scratch.cps.end(), cps_.begin() + static_cast<std::ptrdiff_t>(w.cps_begin),
+                       cps_.begin() + static_cast<std::ptrdiff_t>(w.cps_end));
+    if (w.end < full.ms.size()) scratch.cps.push_back(w.end);
   }
   // Trailing windows the stream never completed (all truncated at the
   // series end), processed exactly as detect_fast's loop would.
-  detail::scan_windows(full, opts_, win, next_begin_, scratch, out);
-  detail::assemble_result(full, opts_, scratch, out);
+  detail::scan_windows(full, opts, win, next_begin_, scratch, out);
+  detail::assemble_result(full, opts, scratch, out);
   return out;
 }
 

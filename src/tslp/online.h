@@ -16,7 +16,22 @@
 // arbitrary split points, or all at once therefore yields byte-identical
 // results to detect_fast -- and hence to the scalar oracle in tests/oracle/.
 // Amortized cost per sample is O(1) bootstraps-per-window aside; retained
-// state is O(window) samples plus the accepted change points.
+// state is O(window) samples plus, per scanned window, its end, its spread
+// and its accepted change points.
+//
+// Threshold replay: finalize can also judge the series at a threshold T1
+// above the push threshold T0, bit-identical to detect_fast at T1 with the
+// window counters included.  The threshold enters a window's scan only
+// through the quiet gate, which compares the window's p95 - p05 spread to
+// T/2 (after a max - min shortcut that is exact because p95 - p05 <=
+// max - min).  So a window is scanned at T1 exactly when it was scanned at
+// T0 and its recorded spread is >= T1/2; dark windows do not depend on T;
+// and a window's change points depend only on its samples, its begin index
+// and the CUSUM options, so the ones accepted at T0 are the ones T1 would
+// accept.  With skip_quiet_windows off every non-dark window is scanned at
+// any threshold (its spread is recorded as +inf).  Campaigns use this to
+// classify Table-2 snapshots at the classifier threshold from the far
+// detector that pushes at the 5 ms floor.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +63,7 @@ class OnlineLevelShift {
   [[nodiscard]] std::size_t pending_samples() const { return pending_.size(); }
   /// Windows fully processed so far.
   [[nodiscard]] std::size_t windows_processed() const {
-    return windows_scanned_ + windows_skipped_dark_ + windows_skipped_quiet_;
+    return scanned_.size() + windows_skipped_dark_ + windows_skipped_quiet_;
   }
 
   /// Completes trailing (truncated) windows and assembles the result over
@@ -56,6 +71,11 @@ class OnlineLevelShift {
   /// time base.  Does not mutate detector state: pushing more samples and
   /// finalizing again later is allowed (the always-on observatory mode).
   [[nodiscard]] LevelShiftResult finalize(const SeriesView& full, DetectScratch& scratch) const;
+  /// The same at `threshold_ms`, which must be >= options().threshold_ms:
+  /// equals detect_fast with options() at that threshold (the threshold
+  /// replay in the header comment).
+  [[nodiscard]] LevelShiftResult finalize(const SeriesView& full, DetectScratch& scratch,
+                                          double threshold_ms) const;
 
   [[nodiscard]] const LevelShiftOptions& options() const { return opts_; }
 
@@ -73,9 +93,16 @@ class OnlineLevelShift {
   std::size_t n_ = 0;
   std::size_t next_begin_ = 0;  ///< next window begin awaiting processing
 
-  std::vector<std::size_t> cps_;           ///< accepted global indices
-  std::vector<std::size_t> scanned_ends_;  ///< ends of scanned windows
-  std::size_t windows_scanned_ = 0;
+  /// A window that passed the gates at the push threshold.
+  struct ScannedWindow {
+    std::size_t end = 0;        ///< implicit change point unless the series end
+    double spread = 0.0;        ///< p95 - p05 (+inf with the quiet gate off)
+    std::size_t cps_begin = 0;  ///< its accepted change points: cps_[cps_begin, cps_end)
+    std::size_t cps_end = 0;
+  };
+
+  std::vector<std::size_t> cps_;  ///< accepted global indices, window by window
+  std::vector<ScannedWindow> scanned_;
   std::size_t windows_skipped_dark_ = 0;
   std::size_t windows_skipped_quiet_ = 0;
 };

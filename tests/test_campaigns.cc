@@ -425,6 +425,73 @@ TEST(Campaigns, OnlineMatchesOfflineReports) {
   }
 }
 
+// Runs `spec` in the serve shape (online + columnar) and offline, requires
+// every snapshot field to match, and returns the snapshots.
+std::vector<SnapshotResult> expect_same_snapshots(const VpSpec& spec, Duration round, int days,
+                                                  double threshold_ms) {
+  CampaignOptions offline;
+  offline.round_interval = round;
+  offline.duration_override = kDay * days;
+  offline.classifier.level_shift.threshold_ms = threshold_ms;
+  CampaignOptions served = offline;
+  served.online = true;
+  served.columnar = true;
+  auto rt_off = build_scenario(spec);
+  const auto want = run_campaign(*rt_off, spec, offline).snapshots;
+  auto rt_on = build_scenario(spec);
+  const auto got = run_campaign(*rt_on, spec, served).snapshots;
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    const SnapshotResult& g = got[i];
+    const SnapshotResult& w = want[i];
+    SCOPED_TRACE("snapshot " + std::to_string(i));
+    EXPECT_EQ(g.at, w.at);
+    EXPECT_EQ(g.discovered_links, w.discovered_links);
+    EXPECT_EQ(g.peering_links, w.peering_links);
+    EXPECT_EQ(g.neighbors, w.neighbors);
+    EXPECT_EQ(g.peers, w.peers);
+    EXPECT_EQ(g.congested_links, w.congested_links);
+    EXPECT_EQ(g.accuracy.true_neighbors, w.accuracy.true_neighbors);
+    EXPECT_EQ(g.accuracy.found_neighbors, w.accuracy.found_neighbors);
+    EXPECT_EQ(g.accuracy.false_neighbors, w.accuracy.false_neighbors);
+    EXPECT_EQ(g.accuracy.true_links, w.accuracy.true_links);
+    EXPECT_EQ(g.accuracy.found_links, w.accuracy.found_links);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.location_consistent),
+              std::bit_cast<std::uint64_t>(w.location_consistent));
+  }
+  return want;
+}
+
+TEST(Campaigns, SnapshotCarryMatchesFromScratch) {
+  // Online campaigns judge a Table-2 snapshot from the live detectors'
+  // finished windows (the far side, pushed at the 5 ms floor, re-gated at
+  // the classifier threshold) while the 60-day window is the whole series
+  // and ends on the grid; every other snapshot classifies from scratch.
+  // Both must give the offline campaign's snapshots.  At Table 1's 15 ms
+  // threshold TIX counts one congested link where the 5 ms floor counts
+  // two, so a far side judged at the push threshold fails here.
+  auto spec = make_vp2_tix();
+  const TimePoint start = spec.campaign_start;
+  spec.snapshot_dates.clear();
+  for (int d = 2; d <= 62; ++d) spec.snapshot_dates.push_back(start + kDay * d);
+  const auto daily = expect_same_snapshots(spec, kMinute * 30, 63, 15.0);
+  ASSERT_EQ(daily.size(), spec.snapshot_dates.size());
+  std::size_t congested = 0, sliding = 0;
+  for (const auto& s : daily) {
+    if (s.at - start <= kDay * 60) congested += s.congested_links > 0 ? 1 : 0;
+    sliding += s.at - start > kDay * 60 ? 1 : 0;
+  }
+  EXPECT_GT(congested, 0u);  // the reuse path has verdicts to get wrong
+  EXPECT_GT(sliding, 0u);    // and the sliding-window fallback runs
+
+  // 7-minute rounds put only every 7th day mark on the grid; the others
+  // end before the last pushed round and fall back to classify().
+  spec.snapshot_dates = {start + kDay * 3, start + kDay * 7, start + kDay * 10,
+                         start + kDay * 14};
+  const auto odd = expect_same_snapshots(spec, kMinute * 7, 16, 15.0);
+  EXPECT_EQ(odd.size(), spec.snapshot_dates.size());
+}
+
 TEST(Campaigns, MetricsIndependentOfResultShape) {
   // CampaignOptions::columnar only picks the shape the samples come back
   // in; every campaign accumulates in the series store, so the registry

@@ -951,6 +951,74 @@ TEST(OnlineProperty, FinalizeIsRepeatableAndResumable) {
                      "resume after finalize");
 }
 
+TEST(OnlineProperty, FinalizeAtHigherThresholdMatchesDetect) {
+  // Campaigns push the far side at the 5 ms floor and judge Table-2
+  // snapshots at the classifier threshold from the same detector: a
+  // finalize at T1 >= T0 must equal detect_fast at T1 field for field,
+  // window counters included, however the samples were chunked.  The
+  // corpus gains plateaus whose spread sits between the gates (4 ms: quiet
+  // at 10 ms only; 8 ms: quiet at 20 ms only), so the re-gate has work.
+  auto corpus = equivalence_corpus();
+  corpus.push_back(diurnal_far(10, 2.0, 4.0, 12.0, 6.0, 0.3, 122));
+  corpus.push_back(diurnal_far(10, 2.0, 8.0, 12.0, 6.0, 0.3, 123));
+  DetectScratch scratch;
+  {
+    // A threshold below the push threshold cannot be replayed: the
+    // windows quiet at T0 were never scanned.  Checked before any other
+    // work so the death-test child, which re-runs this test up to here
+    // with the checks armed, stays cheap.
+    LevelShiftOptions opts;
+    opts.threshold_ms = 5.0;
+    const RttSeries& s = corpus.front();
+    OnlineLevelShift online(opts, s.start, s.interval);
+    online.push(std::span<const double>(s.ms));
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    setenv("IXP_PARANOID", "1", 1);
+    EXPECT_DEATH((void)online.finalize(view_of(s), scratch, 4.0), "below the push threshold");
+    unsetenv("IXP_PARANOID");
+  }
+  Rng rng(0x7411);
+  std::size_t regated = 0;  // results whose scanned-window count T1 changed
+  for (const bool skip_quiet : {true, false}) {
+    LevelShiftOptions push_opts;
+    push_opts.threshold_ms = 5.0;
+    push_opts.skip_quiet_windows = skip_quiet;
+    for (std::size_t idx = 0; idx < corpus.size(); ++idx) {
+      const auto& s = corpus[idx];
+      OnlineLevelShift online(push_opts, s.start, s.interval);
+      std::size_t fed = 0;
+      while (fed < s.ms.size()) {
+        const std::size_t chunk = static_cast<std::size_t>(
+            rng.uniform_int(1, static_cast<std::int64_t>(s.ms.size() - fed)));
+        online.push(std::span<const double>(s.ms).subspan(fed, chunk));
+        fed += chunk;
+        // Finalizing mid-stream at T1 must leave the detector resumable.
+        if (fed < s.ms.size()) {
+          SCOPED_TRACE("series " + std::to_string(idx) + " prefix " + std::to_string(fed));
+          const SeriesView prefix{std::span<const double>(s.ms).first(fed), s.start, s.interval};
+          LevelShiftOptions at = push_opts;
+          at.threshold_ms = 20.0;
+          expect_same_result(online.finalize(prefix, scratch, 20.0),
+                             detect_fast(prefix, at, scratch), "mid-stream finalize(T1)");
+        }
+      }
+      std::size_t scanned_at_t0 = 0;
+      for (const double t1 : {5.0, 10.0, 20.0}) {
+        SCOPED_TRACE("series " + std::to_string(idx) + " skip_quiet " +
+                     std::to_string(skip_quiet) + " T1 " + std::to_string(t1));
+        LevelShiftOptions at = push_opts;
+        at.threshold_ms = t1;
+        const LevelShiftResult got = online.finalize(view_of(s), scratch, t1);
+        expect_same_result(got, detect_fast(view_of(s), at, scratch), "finalize(T1) vs fast");
+        if (t1 == 5.0) scanned_at_t0 = got.windows_scanned;
+        if (got.windows_scanned != scanned_at_t0) ++regated;
+      }
+    }
+  }
+  // The corpus must exercise the re-gate, or the replay is untested.
+  EXPECT_GT(regated, 0u);
+}
+
 TEST(OnlineProperty, BoundedMemory) {
   // The online detector's buffered tail is bounded by window + stride no
   // matter how long the feed runs.
