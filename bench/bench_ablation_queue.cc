@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     auto twin = analysis::build_scenario(spec);
     prober::Prober tracer(twin->topology.net(), twin->vp_host, 0.0);
     const auto slow = oracle::replay_far_rounds(tracer, hot_target(*twin).far_ip, start, end,
-                                                round, cfg.max_ttl);
+                                                round, prober::kTslpMaxTtl);
     double max_dev = 0;
     int n = 0, identical = 0;
     for (std::size_t i = 0; i < fast[0].far_rtt.ms.size() && i < slow.size(); ++i) {

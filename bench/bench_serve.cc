@@ -123,8 +123,11 @@ int main(int argc, char** argv) {
     }
   }
   sopt.campaign.round_interval = kMinute * 30;
-  if (flags.get_int("days") > 0) {
-    sopt.campaign.duration_override = kDay * flags.get_int("days");
+  const auto length = analysis::campaign_length_from_days(
+      flags.get_int("days"), analysis::latest_campaign_start(sopt.specs), "--days", std::cerr);
+  if (!length) return 2;
+  if (length->count() > 0) {
+    sopt.campaign.duration_override = *length;
   } else if (smoke) {
     sopt.campaign.duration_override = kDay * 7;
   }

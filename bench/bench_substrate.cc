@@ -176,11 +176,14 @@ int main(int argc, char** argv) {
     spec = *resolved;
   }
   if (flags.get_int("seed") != 0) spec.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const Duration days = flags.get_int("days") > 0 ? kDay * flags.get_int("days") : Duration(0);
+  // Generated substrates start their campaigns at the epoch.
+  const auto days =
+      analysis::campaign_length_from_days(flags.get_int("days"), TimePoint{}, "--days", std::cerr);
+  if (!days) return 2;
 
   SubstrateBenchReport report;
   try {
-    report = run_substrate_benchmark(spec, static_cast<int>(flags.get_int("jobs")), days);
+    report = run_substrate_benchmark(spec, static_cast<int>(flags.get_int("jobs")), *days);
   } catch (const std::exception& e) {
     std::cerr << "bench_substrate: " << e.what() << "\n";
     return 1;

@@ -85,7 +85,7 @@ tslp::LinkSeries make_link(const topo::TopoSpec& spec, std::uint64_t rounds,
     ls.far_rtt.ms.push_back(far);
   }
   // Maintenance outages: whole-link gap runs long enough to become
-  // explicit SeriesGap markers (gap_min_run defaults to 6).
+  // explicit SeriesGap markers (kGapMinRun is 6).
   const auto outages = 1 + rounds / (spd * 14);
   for (std::uint64_t o = 0; o < outages; ++o) {
     const auto len = static_cast<std::uint64_t>(rng.uniform_int(6, 40));

@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto& spec = specs[static_cast<std::size_t>(vp - 1)];
+  const auto length =
+      analysis::campaign_length_from_days(days, spec.campaign_start, "days", std::cerr);
+  if (!length) return 2;
   std::cout << "campaign: " << spec.vp_name << " at " << spec.ixp.name << " ("
             << spec.ixp.long_name << ", " << spec.ixp.sub_region << "), AS" << spec.vp_asn
             << ", " << days << " days\n";
@@ -38,7 +41,7 @@ int main(int argc, char** argv) {
   auto world = analysis::build_scenario(spec);
   analysis::CampaignOptions opt;
   opt.round_interval = kMinute * 15;
-  opt.duration_override = kDay * days;
+  opt.duration_override = *length;
   const auto result = analysis::run_campaign(*world, spec, opt);
 
   std::cout << "\nsnapshots (within the campaign window):\n";

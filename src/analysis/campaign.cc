@@ -1,6 +1,7 @@
 #include "analysis/campaign.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "geo/dns_lite.h"
@@ -456,6 +457,29 @@ std::optional<Duration> round_interval_from_minutes(double minutes, const char* 
     return std::nullopt;
   }
   return Duration(static_cast<std::int64_t>(minutes * 60e9));
+}
+
+std::optional<Duration> campaign_length_from_days(std::int64_t days, TimePoint latest_start,
+                                                  const char* source, std::ostream& err) {
+  if (days < 0) {
+    err << source << " must be at least 0, got " << days << "\n";
+    return std::nullopt;
+  }
+  const std::int64_t max_days =
+      (std::numeric_limits<std::int64_t>::max() - std::max<std::int64_t>(0, latest_start.ns())) /
+      kDay.count();
+  if (days > max_days) {
+    err << source << " must be at most " << max_days << " (the simulated clock's range), got "
+        << days << "\n";
+    return std::nullopt;
+  }
+  return kDay * days;
+}
+
+TimePoint latest_campaign_start(const std::vector<VpSpec>& specs) {
+  TimePoint latest{};
+  for (const VpSpec& s : specs) latest = std::max(latest, s.campaign_start);
+  return latest;
 }
 
 }  // namespace ixp::analysis

@@ -215,4 +215,17 @@ VpCampaignResult run_campaign(ScenarioRuntime& rt, const VpSpec& spec,
 std::optional<Duration> round_interval_from_minutes(double minutes, const char* source,
                                                     std::ostream& err);
 
+/// The campaign length a day count asks for: Duration(0) for 0 days (keep
+/// the calendar's or the spec's own length), kDay * days otherwise.
+/// nullopt -- after writing why, naming `source`, to `err` -- when days is
+/// negative or `latest_start + kDay * days` overflows the int64 nanosecond
+/// clock.  Every command-line day count goes through here: unchecked, a
+/// negative count silently runs the whole calendar and an overflowing one
+/// wraps the campaign end.
+std::optional<Duration> campaign_length_from_days(std::int64_t days, TimePoint latest_start,
+                                                  const char* source, std::ostream& err);
+
+/// The latest campaign_start among `specs` (the epoch when empty).
+TimePoint latest_campaign_start(const std::vector<VpSpec>& specs);
+
 }  // namespace ixp::analysis

@@ -102,18 +102,13 @@ FamilyScore score_facilities(const std::vector<VpSpec>& specs,
                                                         : spec.campaign_end;
 
     // Mirror attach_fault_plan's facility enumeration exactly: facilities
-    // in neighbor order (first appearance), restricted to clean always-on
+    // in neighbor order (first appearance), restricted to fault-eligible
     // members, so nth_facility resolves to the same name here and there.
     std::vector<std::string> facilities;
     std::map<Asn, std::string> facility_of;
     for (const auto& n : spec.neighbors) {
       if (!n.facility.empty()) facility_of.emplace(n.asn, n.facility);
-      const bool engineered = !n.congestion.empty() || !n.congestion_ptp.empty() ||
-                              n.slow_icmp.has_value() || !n.noise_list.empty() ||
-                              !n.capacity_upgrades.empty();
-      const bool windowed = n.join > spec.campaign_start || n.leave < kForever ||
-                            !n.lan_windows.empty() || !n.ptp_windows.empty();
-      if (n.facility.empty() || windowed || engineered) continue;
+      if (n.facility.empty() || !fault_eligible_neighbor(n, spec.campaign_start)) continue;
       if (std::find(facilities.begin(), facilities.end(), n.facility) == facilities.end()) {
         facilities.push_back(n.facility);
       }
@@ -124,7 +119,7 @@ FamilyScore score_facilities(const std::vector<VpSpec>& specs,
     // overlaps the measured window).
     std::set<std::string> truth;
     if (!plan.facility_outages.empty() && !facilities.empty()) {
-      sim::FaultInjector fi(plan, fault_seed + (i + 1) * 0x9e3779b97f4a7c15ULL, start, end);
+      sim::FaultInjector fi(plan, vp_fault_seed(fault_seed, i), start, end);
       for (std::size_t k = 0; k < plan.facility_outages.size(); ++k) {
         const auto& fac =
             facilities[static_cast<std::size_t>(plan.facility_outages[k].nth_facility) %

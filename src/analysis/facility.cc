@@ -27,8 +27,7 @@ double binomial_upper_tail(std::size_t k, std::size_t n, double p) {
   return std::min(tail, 1.0);
 }
 
-void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted,
-                    const FacilityDetectorOptions& opt) {
+void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted) {
   // Leave-one-out background rate with Laplace smoothing: what fraction
   // of the links *outside* this facility were disrupted?  Smoothing
   // keeps the null rate strictly inside (0, 1), so a quiet substrate
@@ -37,8 +36,8 @@ void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_dis
   const std::size_t k_out = total_disrupted - v.disrupted;
   const double p_out = (static_cast<double>(k_out) + 1.0) / (static_cast<double>(n_out) + 2.0);
   v.p_value = binomial_upper_tail(v.disrupted, v.links, p_out);
-  v.disrupted_verdict =
-      v.links >= opt.min_links && v.disrupted >= opt.min_disrupted && v.p_value <= opt.alpha;
+  v.disrupted_verdict = v.links >= kFacilityMinLinks && v.disrupted >= kFacilityMinDisrupted &&
+                        v.p_value <= kFacilityAlpha;
 }
 
 bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b) {
@@ -48,7 +47,7 @@ bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b) {
 }
 
 std::vector<FacilityVerdict> detect_facility_disruptions(
-    const std::vector<FacilityObservation>& obs, const FacilityDetectorOptions& opt) {
+    const std::vector<FacilityObservation>& obs) {
   std::size_t total = 0, total_disrupted = 0;
   std::map<std::string, FacilityVerdict> by_facility;
   for (const FacilityObservation& o : obs) {
@@ -64,7 +63,7 @@ std::vector<FacilityVerdict> detect_facility_disruptions(
   std::vector<FacilityVerdict> out;
   out.reserve(by_facility.size());
   for (auto& [name, v] : by_facility) {
-    score_facility(v, total, total_disrupted, opt);
+    score_facility(v, total, total_disrupted);
     out.push_back(std::move(v));
   }
   std::sort(out.begin(), out.end(), facility_rank_less);

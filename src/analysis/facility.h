@@ -31,20 +31,18 @@ struct FacilityObservation {
   bool disrupted = false;
 };
 
-struct FacilityDetectorOptions {
-  /// A facility needs at least this many monitored links to be judged at
-  /// all — one link carries no concentration information.
-  std::size_t min_links = 2;
-  /// And at least this many of them disrupted: a single disrupted link is
-  /// a link problem, never a facility problem.
-  std::size_t min_disrupted = 2;
-  /// Binomial upper-tail threshold.  Calibrated against the smoothed
-  /// leave-one-out null: a fully disrupted 2-link facility on an
-  /// otherwise-quiet 10-link substrate scores ~8e-3, while a substrate-wide
-  /// outage (null rate ~0.9) scores ~0.65 — so 1e-2 separates the two with
-  /// an order of magnitude to spare on either side.
-  double alpha = 1e-2;
-};
+/// A facility needs at least this many monitored links to be judged at
+/// all — one link carries no concentration information.
+inline constexpr std::size_t kFacilityMinLinks = 2;
+/// And at least this many of them disrupted: a single disrupted link is
+/// a link problem, never a facility problem.
+inline constexpr std::size_t kFacilityMinDisrupted = 2;
+/// Binomial upper-tail threshold.  Calibrated against the smoothed
+/// leave-one-out null: a fully disrupted 2-link facility on an
+/// otherwise-quiet 10-link substrate scores ~8e-3, while a substrate-wide
+/// outage (null rate ~0.9) scores ~0.65 — so 1e-2 separates the two with
+/// an order of magnitude to spare on either side.
+inline constexpr double kFacilityAlpha = 1e-2;
 
 /// Aggregate verdict for one facility.
 struct FacilityVerdict {
@@ -64,8 +62,7 @@ double binomial_upper_tail(std::size_t k, std::size_t n, double p);
 /// against the leave-one-out background of a substrate of `total` links,
 /// `total_disrupted` of them disrupted (both including `v`'s own), and
 /// fills `v.p_value` and `v.disrupted_verdict`.
-void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted,
-                    const FacilityDetectorOptions& opt = {});
+void score_facility(FacilityVerdict& v, std::size_t total, std::size_t total_disrupted);
 
 /// Most suspicious first: verdicts, then ascending p-value, then name.
 bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b);
@@ -73,7 +70,6 @@ bool facility_rank_less(const FacilityVerdict& a, const FacilityVerdict& b);
 /// Scores every facility appearing in `obs`: counts them and runs
 /// score_facility on each.  Results are in facility_rank_less order.
 std::vector<FacilityVerdict> detect_facility_disruptions(
-    const std::vector<FacilityObservation>& obs,
-    const FacilityDetectorOptions& opt = {});
+    const std::vector<FacilityObservation>& obs);
 
 }  // namespace ixp::analysis

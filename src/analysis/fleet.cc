@@ -160,10 +160,8 @@ FleetResult run_fleet(const std::vector<VpSpec>& specs, const FleetOptions& opt)
       const TimePoint fend = copt.duration_override.count() > 0
                                  ? fstart + copt.duration_override
                                  : specs[i].campaign_end;
-      // Per-VP seed derived from the spec index, never from worker
-      // identity, so the expanded plan is byte-identical for any --jobs.
       faults = attach_fault_plan(*rt, specs[i], *opt.fault_plan,
-                                 opt.fault_seed + (i + 1) * 0x9e3779b97f4a7c15ULL, fend);
+                                 vp_fault_seed(opt.fault_seed, i), fend);
       copt.faults = faults.get();
     }
     auto result = run_campaign(*rt, specs[i], copt);

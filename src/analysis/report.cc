@@ -112,7 +112,7 @@ void write_report(std::ostream& out, const VpSpec& spec, const VpCampaignResult&
           << " the documented account\n";
       out << "- Documented cause: " << cs->cause << "\n";
     }
-    if (opts.include_waveforms && rep.congested()) {
+    if (rep.congested()) {
       AsciiChartOptions chart;
       chart.width = 100;
       chart.height = 12;
@@ -146,8 +146,7 @@ std::string report_to_string(const VpSpec& spec, const VpCampaignResult& result,
 }
 
 void write_combined_report(std::ostream& out,
-                           const std::vector<std::pair<VpSpec, const VpCampaignResult*>>& vps,
-                           const ReportOptions& opts) {
+                           const std::vector<std::pair<VpSpec, const VpCampaignResult*>>& vps) {
   out << "# Congestion on the IXP substrate: combined study report\n\n";
 
   // The 6.1 aggregate.
@@ -215,7 +214,6 @@ void write_combined_report(std::ostream& out,
   out << "- TSLP detects these events without operator cooperation, but attributing *causes* "
          "required the per-case context recorded in the casebook -- exactly the paper's "
          "conclusion about needing operator collaboration.\n";
-  (void)opts;
 }
 
 }  // namespace ixp::analysis

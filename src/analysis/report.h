@@ -18,11 +18,10 @@ namespace ixp::analysis {
 struct ReportOptions {
   /// Include every monitored link in an appendix table (can be long).
   bool include_link_appendix = false;
-  /// Attach ASCII waveform plots for congested links.
-  bool include_waveforms = true;
 };
 
-/// Writes the Markdown report to `out`.
+/// Writes the Markdown report to `out`, with an ASCII waveform plot for
+/// each congested link.
 void write_report(std::ostream& out, const VpSpec& spec, const VpCampaignResult& result,
                   const ReportOptions& opts = {});
 
@@ -34,7 +33,6 @@ std::string report_to_string(const VpSpec& spec, const VpCampaignResult& result,
 /// congested across the whole substrate), one summary row per VP, every
 /// finding, and the §7 implications the numbers support.
 void write_combined_report(std::ostream& out,
-                           const std::vector<std::pair<VpSpec, const VpCampaignResult*>>& vps,
-                           const ReportOptions& opts = {});
+                           const std::vector<std::pair<VpSpec, const VpCampaignResult*>>& vps);
 
 }  // namespace ixp::analysis

@@ -428,12 +428,7 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
     h.asn = n.asn;
     h.name = n.name;
     h.silent = n.silent;
-    h.engineered = !n.congestion.empty() || !n.congestion_ptp.empty() ||
-                   n.slow_icmp.has_value() || !n.noise_list.empty() ||
-                   !n.capacity_upgrades.empty();
-    const bool windowed = n.join > spec.campaign_start || n.leave < kForever ||
-                          !n.lan_windows.empty() || !n.ptp_windows.empty();
-    h.always_on = !windowed;
+    h.fault_eligible = fault_eligible_neighbor(n, spec.campaign_start);
     h.facility = n.facility;
     h.routers = rts;
     h.lan_links = lan_ports;
@@ -488,6 +483,19 @@ IxpPort vp_ixp_port(sim::Network& net, sim::NodeId vp_router) {
 
 }  // namespace
 
+bool fault_eligible_neighbor(const NeighborSpec& n, TimePoint campaign_start) {
+  const bool engineered = !n.congestion.empty() || !n.congestion_ptp.empty() ||
+                          n.slow_icmp.has_value() || !n.noise_list.empty() ||
+                          !n.capacity_upgrades.empty();
+  const bool windowed = n.join > campaign_start || n.leave < kForever ||
+                        !n.lan_windows.empty() || !n.ptp_windows.empty();
+  return !engineered && !windowed;
+}
+
+std::uint64_t vp_fault_seed(std::uint64_t fault_seed, std::size_t index) {
+  return fault_seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
+}
+
 std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const VpSpec& spec,
                                                       const FaultPlan& plan, std::uint64_t seed,
                                                       TimePoint campaign_end) {
@@ -496,13 +504,12 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
   ScenarioRuntime* rtp = &rt;
   auto& net = rt.topology.net();
 
-  // Destructive faults only target clean always-on neighbors: engineered
-  // links keep their scripted behaviour (the ground truth must stay
-  // interpretable), silent routers would make the fault unobservable, and
-  // windowed members are managed by membership events.
+  // Destructive faults only target fault-eligible neighbors (see
+  // fault_eligible_neighbor) that answer ICMP: a silent router would make
+  // the fault unobservable.
   std::vector<const NeighborHandles*> eligible;
   for (const auto& h : rt.neighbor_handles) {
-    if (h.engineered || h.silent || !h.always_on) continue;
+    if (!h.fault_eligible || h.silent) continue;
     if (h.routers.empty() || h.lan_links.empty()) continue;
     eligible.push_back(&h);
   }
@@ -612,11 +619,11 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
   // at window end — the correlated multi-link signature the facility
   // detector (analysis/facility.h) aggregates over.  Facilities are
   // enumerated in neighbor order (first appearance), so `nth_facility`
-  // picks deterministically for a given substrate.  Engineered / windowed
-  // members are skipped for the same ground-truth reasons as above.
+  // picks deterministically for a given substrate.  Only fault-eligible
+  // members count, silent ones included.
   std::vector<std::string> facilities;
   for (const auto& h : rt.neighbor_handles) {
-    if (h.facility.empty() || !h.always_on || h.engineered) continue;
+    if (h.facility.empty() || !h.fault_eligible) continue;
     if (std::find(facilities.begin(), facilities.end(), h.facility) == facilities.end()) {
       facilities.push_back(h.facility);
     }
@@ -627,7 +634,7 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
                    facilities.size()];
     std::vector<int> fac_links;
     for (const auto& h : rt.neighbor_handles) {
-      if (h.facility != fac || !h.always_on || h.engineered) continue;
+      if (h.facility != fac || !h.fault_eligible) continue;
       fac_links.insert(fac_links.end(), h.lan_links.begin(), h.lan_links.end());
       fac_links.insert(fac_links.end(), h.ptp_links.begin(), h.ptp_links.end());
     }

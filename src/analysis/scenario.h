@@ -171,14 +171,8 @@ struct TimelineEvent {
 struct NeighborHandles {
   Asn asn = 0;
   std::string name;
-  /// Carries scripted congestion / slow-ICMP / noise / upgrades — its
-  /// behaviour is part of the ground truth, so faults must not target it.
-  bool engineered = false;
   bool silent = false;
-  /// Present for the whole campaign with no membership windows; only such
-  /// neighbors are eligible fault targets (flapping a windowed member's
-  /// link would fight the membership timeline).
-  bool always_on = false;
+  bool fault_eligible = false;  ///< fault_eligible_neighbor() of its spec
   std::string facility;  ///< colocation facility ("" = unassigned)
   std::vector<sim::NodeId> routers;
   std::vector<int> lan_links;  ///< IXP-port link ids, port order
@@ -222,6 +216,19 @@ class ScenarioRuntime {
 /// Builds the world at campaign start; later joins/leaves/upgrades are in
 /// the returned runtime's timeline.
 std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec);
+
+/// The one rule for which neighbors faults may target: no scripted
+/// congestion / slow ICMP / noise / upgrades (that behaviour is part of the
+/// ground truth) and present for the whole campaign with no membership
+/// windows (flapping a windowed member's link would fight the membership
+/// timeline).
+bool fault_eligible_neighbor(const NeighborSpec& n, TimePoint campaign_start);
+
+/// The fault seed of the `index`-th spec of a fleet whose seed is
+/// `fault_seed`.  Derived from the spec index, never from worker identity,
+/// so the expanded plan is byte-identical for any --jobs; chaos scoring
+/// re-expands each VP's plan with the same seed.
+std::uint64_t vp_fault_seed(std::uint64_t fault_seed, std::size_t index);
 
 /// Expands `plan` against [spec.campaign_start, campaign_end) and installs
 /// the topology-touching faults (link flaps, ICMP tightening, silent drops,

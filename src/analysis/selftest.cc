@@ -134,11 +134,10 @@ void record_diurnal(GoldenRecord& rec, const stats::DiurnalScore& score) {
 // diurnal_score at the paper's 5-minute cadence (288 samples/day exactly).
 GoldenRecord case_diurnal_score() {
   const auto s = diurnal_series(12, 2.0, 15.0, 11.0, 5.0, 0.4, 303);
-  stats::DiurnalOptions opt;
-  opt.samples_per_day = tslp::samples_per_day(s.interval);
+  const std::size_t spd = tslp::samples_per_day(s.interval);
   GoldenRecord rec;
-  rec.set("samples_per_day", static_cast<double>(opt.samples_per_day));
-  record_diurnal(rec, stats::diurnal_score(s.ms, opt));
+  rec.set("samples_per_day", static_cast<double>(spd));
+  record_diurnal(rec, stats::diurnal_score(s.ms, spd));
   return rec;
 }
 
@@ -146,11 +145,10 @@ GoldenRecord case_diurnal_score() {
 // 205.71 rounds to 206 (truncation used to slice days at 205).
 GoldenRecord case_diurnal_nondivisor_cadence() {
   const auto s = diurnal_series(12, 2.0, 15.0, 11.0, 5.0, 0.4, 404, kMinute * 7);
-  stats::DiurnalOptions opt;
-  opt.samples_per_day = tslp::samples_per_day(s.interval);
+  const std::size_t spd = tslp::samples_per_day(s.interval);
   GoldenRecord rec;
-  rec.set("samples_per_day", static_cast<double>(opt.samples_per_day));
-  record_diurnal(rec, stats::diurnal_score(s.ms, opt));
+  rec.set("samples_per_day", static_cast<double>(spd));
+  record_diurnal(rec, stats::diurnal_score(s.ms, spd));
   return rec;
 }
 

@@ -55,14 +55,20 @@ std::vector<std::vector<net::Ipv4Address>> AliasSets::sets() const {
 // ---------------------------------------------------------------------------
 // AliasResolver
 
-AliasResolver::AliasResolver(prober::Prober& prober, AllyOptions opts)
-    : prober_(&prober), opts_(opts) {}
+namespace {
+
+constexpr int kProbesPerPair = 4;        ///< interleaved probe rounds
+constexpr std::uint32_t kMaxIdGap = 16;  ///< IDs further apart than this reject the pair
+
+}  // namespace
+
+AliasResolver::AliasResolver(prober::Prober& prober) : prober_(&prober) {}
 
 bool AliasResolver::ally(net::Ipv4Address a, net::Ipv4Address b) {
   ++pairs_tested_;
   std::vector<std::uint16_t> ids;
-  ids.reserve(static_cast<std::size_t>(opts_.probes_per_pair) * 2);
-  for (int round = 0; round < opts_.probes_per_pair; ++round) {
+  ids.reserve(static_cast<std::size_t>(kProbesPerPair) * 2);
+  for (int round = 0; round < kProbesPerPair; ++round) {
     for (const net::Ipv4Address dst : {a, b}) {
       const auto r = prober_->probe(dst);
       if (!r.answered || r.responder != dst) return false;
@@ -73,19 +79,18 @@ bool AliasResolver::ally(net::Ipv4Address a, net::Ipv4Address b) {
   // sequence across the interleaved probes (allowing 16-bit wraparound).
   for (std::size_t i = 1; i < ids.size(); ++i) {
     const std::uint16_t gap = static_cast<std::uint16_t>(ids[i] - ids[i - 1]);
-    if (gap == 0 || gap > opts_.max_gap) return false;
+    if (gap == 0 || gap > kMaxIdGap) return false;
   }
   return true;
 }
 
-AliasSets AliasResolver::resolve(const std::vector<net::Ipv4Address>& addrs,
-                                 std::size_t max_pairs) {
+AliasSets AliasResolver::resolve(const std::vector<net::Ipv4Address>& addrs) {
   AliasSets sets;
   for (const auto a : addrs) sets.add(a);
 
   for (std::size_t i = 0; i < addrs.size(); ++i) {
     for (std::size_t j = i + 1; j < addrs.size(); ++j) {
-      if (pairs_tested_ >= max_pairs) return sets;
+      if (pairs_tested_ >= kMaxAliasPairs) return sets;
       // /30 mates face each other across a link: never aliases, skip.
       const auto mate = ptp_mate(addrs[i]);
       if (mate && *mate == addrs[j]) continue;

@@ -26,6 +26,9 @@
 
 namespace ixp::bdrmap {
 
+/// Ally pairs one resolve() may test.
+inline constexpr std::size_t kMaxAliasPairs = 4096;
+
 /// Union-find over addresses; the public result type of alias resolution.
 class AliasSets {
  public:
@@ -46,14 +49,9 @@ class AliasSets {
   mutable std::map<net::Ipv4Address, net::Ipv4Address> parent_;
 };
 
-struct AllyOptions {
-  int probes_per_pair = 4;    ///< interleaved probe rounds
-  std::uint32_t max_gap = 16; ///< IDs further apart than this reject the pair
-};
-
 class AliasResolver {
  public:
-  explicit AliasResolver(prober::Prober& prober, AllyOptions opts = {});
+  explicit AliasResolver(prober::Prober& prober);
 
   /// Ally test for one candidate pair: probes a,b,a,b,... and accepts when
   /// the returned IP-ID sequence is interleaved and tight.  Unanswered
@@ -61,15 +59,14 @@ class AliasResolver {
   [[nodiscard]] bool ally(net::Ipv4Address a, net::Ipv4Address b);
 
   /// Full resolution over a candidate address set: Ally across plausible
-  /// pairs (bounded by `max_pairs` to stay polite), then /30-mate
+  /// pairs (bounded by kMaxAliasPairs to stay polite), then /30-mate
   /// separation (mates are never aliases).
-  AliasSets resolve(const std::vector<net::Ipv4Address>& addrs, std::size_t max_pairs = 4096);
+  AliasSets resolve(const std::vector<net::Ipv4Address>& addrs);
 
   [[nodiscard]] std::uint64_t pairs_tested() const { return pairs_tested_; }
 
  private:
   prober::Prober* prober_;
-  AllyOptions opts_;
   std::uint64_t pairs_tested_ = 0;
 };
 

@@ -8,6 +8,13 @@
 
 namespace ixp::bdrmap {
 
+namespace {
+
+constexpr int kMaxTtl = 32;   ///< hop limit of the prefix-sweep traces
+constexpr int kAttempts = 2;  ///< probes per hop before it counts as silent
+
+}  // namespace
+
 Bdrmap::Bdrmap(prober::Prober& prober, const registry::PublicData& data, Asn vp_asn,
                BdrmapOptions opts)
     : prober_(&prober), data_(&data), vp_asn_(vp_asn), opts_(opts) {
@@ -141,25 +148,25 @@ BdrmapResult Bdrmap::run() {
   for (const auto& [prefix, origin] : data_->prefix_origins) {
     if (is_vp_network(origin)) continue;
     const net::Ipv4Address target = prefix.at(1);
-    const auto hops = opts_.doubletree
-                          ? prober_->traceroute_doubletree(target, stop_set, opts_.max_ttl,
-                                                           opts_.attempts)
-                          : prober_->traceroute(target, opts_.max_ttl, opts_.attempts);
+    const auto hops =
+        opts_.doubletree
+            ? prober_->traceroute_doubletree(target, stop_set, kMaxTtl, kAttempts)
+            : prober_->traceroute(target, kMaxTtl, kAttempts);
     ++out.traces_run;
     process_trace(hops, origin, out);
   }
 
-  // Sweep IXP LANs for silent adjacencies (members that announce little).
-  if (opts_.sweep_ixp_lans) {
-    for (const auto& e : data_->ixp_directory) {
-      for (std::uint64_t i = 1; i + 1 < e.peering_prefix.size(); ++i) {
-        const net::Ipv4Address a = e.peering_prefix.at(i);
-        const auto r = prober_->probe(a);
-        if (!r.answered) continue;
-        const auto hops = prober_->traceroute(a, 8, 1);
-        ++out.traces_run;
-        process_trace(hops, 0, out);
-      }
+  // Sweep every address in the IXP peering LANs for silent adjacencies
+  // (members that announce little): bdrmap probes a target list dense
+  // enough to see all LAN adjacencies, and this models that.
+  for (const auto& e : data_->ixp_directory) {
+    for (std::uint64_t i = 1; i + 1 < e.peering_prefix.size(); ++i) {
+      const net::Ipv4Address a = e.peering_prefix.at(i);
+      const auto r = prober_->probe(a);
+      if (!r.answered) continue;
+      const auto hops = prober_->traceroute(a, 8, 1);
+      ++out.traces_run;
+      process_trace(hops, 0, out);
     }
   }
 
@@ -169,7 +176,7 @@ BdrmapResult Bdrmap::run() {
     far.reserve(out.links.size());
     for (const auto& l : out.links) far.push_back(l.far_ip);
     AliasResolver resolver(*prober_);
-    out.aliases = resolver.resolve(far, opts_.max_alias_pairs);
+    out.aliases = resolver.resolve(far);
     out.inferred_routers = out.aliases.sets().size();
   }
 

@@ -57,16 +57,10 @@ struct BdrmapResult {
 };
 
 struct BdrmapOptions {
-  int max_ttl = 32;
-  int attempts = 2;
-  /// Also sweep every address in IXP peering LANs (bdrmap probes a target
-  /// list dense enough to see all LAN adjacencies; this models that).
-  bool sweep_ixp_lans = true;
   /// Run Ally-style alias resolution over the far addresses to group them
   /// into routers (bdrmap's router-ownership stage).  Costs O(pairs)
   /// probes, so campaigns leave it off and run it at snapshots only.
   bool resolve_aliases = false;
-  std::size_t max_alias_pairs = 4096;
   /// Use doubletree-style stop sets for the prefix sweep (scamper's probing
   /// optimization): traces stop once they re-enter previously explored
   /// path; cuts probe cost several-fold on transit-heavy VPs.

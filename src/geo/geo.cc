@@ -85,17 +85,4 @@ std::optional<std::string> parse_rdns_city(const std::string& rdns) {
   return std::nullopt;
 }
 
-LinkLocationCheck check_link_location(const GeoDatabase& db, net::Ipv4Address near_ip,
-                                      net::Ipv4Address far_ip, const topo::IxpInfo& ixp) {
-  LinkLocationCheck out;
-  const auto near_loc = db.lookup(near_ip);
-  const auto far_loc = db.lookup(far_ip);
-  auto matches = [&](const std::optional<Location>& loc) {
-    return loc && (loc->city == ixp.city || loc->country == ixp.country);
-  };
-  out.near_matches = matches(near_loc);
-  out.far_matches = matches(far_loc);
-  return out;
-}
-
 }  // namespace ixp::geo

@@ -48,15 +48,4 @@ std::string make_rdns_name(net::Ipv4Address addr, topo::Asn asn, const std::stri
 /// Extracts a city hint from an rDNS name; nullopt when no token matches.
 std::optional<std::string> parse_rdns_city(const std::string& rdns);
 
-/// Cross-check used in §5.1: do both ends of a link geolocate to the IXP's
-/// city (or at least its country)?
-struct LinkLocationCheck {
-  bool near_matches = false;
-  bool far_matches = false;
-  [[nodiscard]] bool consistent() const { return near_matches && far_matches; }
-};
-
-LinkLocationCheck check_link_location(const GeoDatabase& db, net::Ipv4Address near_ip,
-                                      net::Ipv4Address far_ip, const topo::IxpInfo& ixp);
-
 }  // namespace ixp::geo

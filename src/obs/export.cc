@@ -19,16 +19,6 @@ std::string fmt_double(double v) {
   return strformat("%.17g", v);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void write_id_fields(std::ostream& out, const MetricId& id) {
   out << strformat("\"name\": \"%s\", \"labels\": \"%s\"", json_escape(id.name).c_str(),
                    json_escape(id.labels).c_str());

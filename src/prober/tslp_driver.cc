@@ -8,6 +8,12 @@
 namespace ixp::prober {
 namespace {
 
+/// Re-traceroute a target after this many consecutive losses (routes
+/// change over a year-long campaign).
+constexpr int kRelearnAfterLosses = 12;
+/// Loss probes go out at 1 packet per second (paper rate).
+constexpr Duration kLossProbeInterval = kSecond;
+
 struct TargetState {
   MonitorTarget target;
   int far_ttl = 0;          ///< hop distance of the far address; 0 = unknown
@@ -42,7 +48,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
     TargetState s;
     s.target = t;
     s.near_owner = prober_->network().find_owner(t.near_ip);
-    if (const auto d = prober_->hop_distance(t.far_ip, cfg_.max_ttl)) s.far_ttl = *d;
+    if (const auto d = prober_->hop_distance(t.far_ip, kTslpMaxTtl)) s.far_ttl = *d;
     state.push_back(std::move(s));
 
     tslp::LinkSeries ls;
@@ -62,7 +68,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
   auto relearn = [this](TargetState& s) {
     s.consecutive_losses = 0;
     s.near_mismatches = 0;
-    if (const auto d = prober_->hop_distance(s.target.far_ip, cfg_.max_ttl)) {
+    if (const auto d = prober_->hop_distance(s.target.far_ip, kTslpMaxTtl)) {
       s.far_ttl = *d;
     } else {
       s.far_ttl = 0;  // target gone (link removed / member left)
@@ -149,7 +155,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
         ls.responder_changes.push_back(ls.far_rtt.ms.size());
         relearn(s);
       } else if (std::isnan(far_ms)) {
-        if (++s.consecutive_losses >= cfg_.relearn_after_losses) {
+        if (++s.consecutive_losses >= kRelearnAfterLosses) {
           // Route may have moved; re-learn the hop distance.  Dead targets
           // (far_ttl 0: member gone or link down) re-poll through the same
           // path so they recover when the link returns, but only live
@@ -166,7 +172,7 @@ std::vector<tslp::LinkSeries> TslpDriver::run(const std::vector<MonitorTarget>& 
           // at any sufficient TTL) while the near probe expires at the
           // wrong router — detect that drift too, with the same patience
           // as the loss path.
-          if (++s.near_mismatches >= cfg_.relearn_after_losses) {
+          if (++s.near_mismatches >= kRelearnAfterLosses) {
             ++stale_relearns_;
             ls.responder_changes.push_back(ls.far_rtt.ms.size());
             relearn(s);
@@ -202,7 +208,7 @@ tslp::LossSeries measure_loss(Prober& prober, net::Ipv4Address target, TimePoint
     tslp::LossBatch batch;
     batch.at = t;
     for (int i = 0; i < cfg.batch_size; ++i) {
-      const TimePoint pt = t + cfg.probe_interval * i;
+      const TimePoint pt = t + kLossProbeInterval * i;
       if (pt >= end) break;
       sim.advance_to(pt);
       ++batch.sent;
@@ -210,7 +216,7 @@ tslp::LossSeries measure_loss(Prober& prober, net::Ipv4Address target, TimePoint
       if (!r.answered) ++batch.lost;
     }
     if (batch.sent > 0) out.batches.push_back(batch);
-    t += cfg.probe_interval * cfg.batch_size + cfg.batch_gap;
+    t += kLossProbeInterval * cfg.batch_size + cfg.batch_gap;
   }
   return out;
 }

@@ -34,12 +34,11 @@ struct MonitorTarget {
   bool at_ixp = false;
 };
 
+/// Hop limit of the traceroutes that learn each target's far distance.
+inline constexpr int kTslpMaxTtl = 32;
+
 struct TslpConfig {
   Duration round_interval = kMinute * 5;  ///< paper cadence
-  int max_ttl = 32;
-  /// Re-traceroute a target after this many consecutive losses (routes
-  /// change over a year-long campaign).
-  int relearn_after_losses = 12;
   /// Invoked at the start of every round with the round's time; campaign
   /// drivers hook world-timeline application here.
   std::function<void(TimePoint)> pre_round;
@@ -87,8 +86,7 @@ class TslpDriver {
 };
 
 struct LossConfig {
-  Duration probe_interval = kSecond;  ///< 1 packet per second (paper rate)
-  int batch_size = 100;               ///< loss computed per 100 probes
+  int batch_size = 100;  ///< loss computed per 100 probes
   /// Gap between consecutive batches.  The paper probes continuously
   /// (gap = 0); campaigns that only need the loss *timeseries shape* can
   /// subsample with a positive gap.

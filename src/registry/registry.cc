@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "routing/bgp.h"
 #include "util/strings.h"
@@ -28,10 +27,8 @@ PublicData harvest(const topo::Topology& topology, const routing::Bgp& bgp, Asn 
 
   for (const auto& [asn, info] : topology.ases()) {
     const std::string org = info.org.empty() ? ("ORG-AS" + strformat("%u", asn)) : info.org;
-    out.as_orgs.push_back({asn, org, info.name, info.country});
-    for (const auto& p : info.prefixes) {
-      out.delegations.push_back({"afrinic", info.country, p, "allocated", org});
-    }
+    out.as_orgs.push_back({asn, org});
+    for (const auto& p : info.prefixes) out.delegations.push_back({p, org});
   }
   std::sort(out.as_orgs.begin(), out.as_orgs.end(),
             [](const AsOrgRecord& a, const AsOrgRecord& b) { return a.asn < b.asn; });
@@ -40,15 +37,14 @@ PublicData harvest(const topo::Topology& topology, const routing::Bgp& bgp, Asn 
   for (const auto& [prefix, asn] : topology.infra_delegations()) {
     const topo::AsInfo* info = topology.find_as(asn);
     const std::string org = info && !info->org.empty() ? info->org : ("ORG-AS" + strformat("%u", asn));
-    out.delegations.push_back(
-        {"afrinic", info ? info->country : "ZZ", prefix, "assigned", org});
+    out.delegations.push_back({prefix, org});
   }
 
   // IXP directory (PeeringDB/PCH role) and participant mappings.
   for (const auto& [name, info] : topology.ixps()) {
-    out.ixp_directory.push_back({info.name, info.country, info.peering_prefix, info.management_prefix});
+    out.ixp_directory.push_back({info.name, info.peering_prefix, info.management_prefix});
     for (const auto& [addr, asn] : topology.lan_participants(name)) {
-      out.ixp_participants.push_back({info.name, addr, asn});
+      out.ixp_participants.push_back({addr, asn});
     }
   }
 
@@ -71,133 +67,6 @@ PublicData harvest(const topo::Topology& topology, const routing::Bgp& bgp, Asn 
     }
   }
   std::sort(out.vp_siblings.begin(), out.vp_siblings.end());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// File formats
-
-std::string write_delegations(const std::vector<DelegationRecord>& recs) {
-  std::string out;
-  for (const auto& r : recs) {
-    out += strformat("%s|%s|ipv4|%s|%llu|20160101|%s|%s\n", r.rir.c_str(), r.country.c_str(),
-                     r.prefix.network().to_string().c_str(),
-                     static_cast<unsigned long long>(r.prefix.size()), r.status.c_str(),
-                     r.org_id.c_str());
-  }
-  return out;
-}
-
-std::vector<DelegationRecord> parse_delegations(const std::string& text) {
-  std::vector<DelegationRecord> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto f = split(trim(line), '|');
-    if (f.size() < 8 || f[2] != "ipv4") continue;
-    const auto addr = net::Ipv4Address::parse(f[3]);
-    std::uint64_t count = 0;
-    if (!addr || !parse_u64(f[4], count) || count == 0) continue;
-    int len = 32;
-    std::uint64_t span = 1;
-    while (span < count && len > 0) {
-      span <<= 1;
-      --len;
-    }
-    out.push_back({f[0], f[1], net::Ipv4Prefix(*addr, len), f[6], f[7]});
-  }
-  return out;
-}
-
-std::string write_ixp_directory(const std::vector<IxpDirectoryEntry>& entries) {
-  std::string out;
-  for (const auto& e : entries) {
-    out += strformat("%s|%s|%s|%s\n", e.name.c_str(), e.country.c_str(),
-                     e.peering_prefix.to_string().c_str(), e.management_prefix.to_string().c_str());
-  }
-  return out;
-}
-
-std::vector<IxpDirectoryEntry> parse_ixp_directory(const std::string& text) {
-  std::vector<IxpDirectoryEntry> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto f = split(trim(line), '|');
-    if (f.size() < 4) continue;
-    const auto peering = net::Ipv4Prefix::parse(f[2]);
-    const auto mgmt = net::Ipv4Prefix::parse(f[3]);
-    if (!peering || !mgmt) continue;
-    out.push_back({f[0], f[1], *peering, *mgmt});
-  }
-  return out;
-}
-
-std::string write_as_orgs(const std::vector<AsOrgRecord>& recs) {
-  std::string out;
-  for (const auto& r : recs) {
-    out += strformat("%u|%s|%s|%s\n", r.asn, r.org_id.c_str(), r.as_name.c_str(), r.country.c_str());
-  }
-  return out;
-}
-
-std::vector<AsOrgRecord> parse_as_orgs(const std::string& text) {
-  std::vector<AsOrgRecord> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto f = split(trim(line), '|');
-    if (f.size() < 4) continue;
-    std::uint64_t asn = 0;
-    if (!parse_u64(f[0], asn)) continue;
-    out.push_back({static_cast<Asn>(asn), f[1], f[2], f[3]});
-  }
-  return out;
-}
-
-std::string write_ixp_participants(const std::vector<IxpParticipant>& parts) {
-  std::string out;
-  for (const auto& p : parts) {
-    out += strformat("%s %s %u\n", p.lan_ip.to_string().c_str(), p.ixp.c_str(), p.asn);
-  }
-  return out;
-}
-
-std::vector<IxpParticipant> parse_ixp_participants(const std::string& text) {
-  std::vector<IxpParticipant> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto f = split(trim(line), ' ');
-    if (f.size() < 3) continue;
-    const auto addr = net::Ipv4Address::parse(f[0]);
-    std::uint64_t asn = 0;
-    if (!addr || !parse_u64(f[2], asn)) continue;
-    out.push_back({f[1], *addr, static_cast<Asn>(asn)});
-  }
-  return out;
-}
-
-std::string write_prefix_origins(const std::vector<std::pair<net::Ipv4Prefix, Asn>>& origins) {
-  std::string out;
-  for (const auto& [prefix, asn] : origins) {
-    out += strformat("%s %u\n", prefix.to_string().c_str(), asn);
-  }
-  return out;
-}
-
-std::vector<std::pair<net::Ipv4Prefix, Asn>> parse_prefix_origins(const std::string& text) {
-  std::vector<std::pair<net::Ipv4Prefix, Asn>> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto f = split(trim(line), ' ');
-    if (f.size() < 2) continue;
-    const auto prefix = net::Ipv4Prefix::parse(f[0]);
-    std::uint64_t asn = 0;
-    if (!prefix || !parse_u64(f[1], asn)) continue;
-    out.emplace_back(*prefix, static_cast<Asn>(asn));
-  }
   return out;
 }
 

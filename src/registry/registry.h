@@ -1,16 +1,14 @@
 // Internet-registry data substrate.
 //
-// bdrmap's inputs are files published by the registries and databases the
-// paper lists: RIR delegation files, the PeeringDB/PCH IXP prefix
-// directory, CAIDA's AS-to-organisation mapping, and a per-VP sibling
-// list.  This module generates those files from the simulated topology
-// (exactly the information a registry would hold) and parses them back --
-// bdrmap-lite only ever sees the parsed file data, never the topology
+// bdrmap's inputs are the datasets published by the registries and
+// databases the paper lists: RIR delegation files, the PeeringDB/PCH IXP
+// prefix directory, CAIDA's AS-to-organisation mapping, and a per-VP
+// sibling list.  harvest() builds those records in memory from the
+// simulated topology (exactly the information a registry would hold), and
+// bdrmap-lite reads only that PublicData bundle, never the topology
 // object, preserving the paper's inference-from-public-data structure.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,26 +20,23 @@ namespace ixp::registry {
 
 using topo::Asn;
 
+// Each record keeps the columns of its dataset that bdrmap-lite reads.
+
 /// One line of an RIR extended delegation file.
 struct DelegationRecord {
-  std::string rir = "afrinic";
-  std::string country;
   net::Ipv4Prefix prefix;
-  std::string status = "allocated";
   std::string org_id;
 };
 
 /// One IXP directory entry (PeeringDB/PCH style).
 struct IxpDirectoryEntry {
   std::string name;
-  std::string country;
   net::Ipv4Prefix peering_prefix;
   net::Ipv4Prefix management_prefix;
 };
 
 /// One line of PCH's LAN-address-to-ASN mapping for an IXP.
 struct IxpParticipant {
-  std::string ixp;
   net::Ipv4Address lan_ip;
   Asn asn = 0;
 };
@@ -50,8 +45,6 @@ struct IxpParticipant {
 struct AsOrgRecord {
   Asn asn = 0;
   std::string org_id;
-  std::string as_name;
-  std::string country;
 };
 
 /// The bundle of public datasets a bdrmap run consumes.
@@ -65,7 +58,7 @@ struct PublicData {
   std::vector<Asn> vp_siblings;
   /// Raw AS paths from the collectors (AS-rank-lite input).
   std::vector<std::vector<Asn>> bgp_paths;
-  /// PCH-style (IXP, LAN address, ASN) participant records.
+  /// PCH-style (LAN address, ASN) participant records.
   std::vector<IxpParticipant> ixp_participants;
 
   /// Longest-prefix-match view over prefix_origins.
@@ -77,22 +70,5 @@ struct PublicData {
 /// Builds every public dataset from the topology and a BGP view.
 PublicData harvest(const topo::Topology& topology, const routing::Bgp& bgp, Asn vp_asn,
                    const std::vector<Asn>& collectors);
-
-// ---- File round-trips (the on-disk formats) --------------------------------
-
-std::string write_delegations(const std::vector<DelegationRecord>& recs);
-std::vector<DelegationRecord> parse_delegations(const std::string& text);
-
-std::string write_ixp_directory(const std::vector<IxpDirectoryEntry>& entries);
-std::vector<IxpDirectoryEntry> parse_ixp_directory(const std::string& text);
-
-std::string write_as_orgs(const std::vector<AsOrgRecord>& recs);
-std::vector<AsOrgRecord> parse_as_orgs(const std::string& text);
-
-std::string write_ixp_participants(const std::vector<IxpParticipant>& parts);
-std::vector<IxpParticipant> parse_ixp_participants(const std::string& text);
-
-std::string write_prefix_origins(const std::vector<std::pair<net::Ipv4Prefix, Asn>>& origins);
-std::vector<std::pair<net::Ipv4Prefix, Asn>> parse_prefix_origins(const std::string& text);
 
 }  // namespace ixp::registry

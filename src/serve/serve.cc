@@ -110,8 +110,8 @@ void ServeDaemon::run_pass(std::uint64_t pass) {
   fopt.fault_plan = opt_.fault_plan;
   // Pass 1 replays `afixp chaos --seed S` byte-for-byte; later passes take
   // a deterministic per-pass offset.  The mix constant differs from the
-  // fleet's per-VP stride so pass p / VP i never collides with pass p' /
-  // VP i' (fleet.cc uses 0x9e3779b97f4a7c15).
+  // per-VP stride of analysis::vp_fault_seed (0x9e3779b97f4a7c15) so pass
+  // p / VP i never collides with pass p' / VP i'.
   fopt.fault_seed = pass == 1 ? opt_.fault_seed
                               : opt_.fault_seed ^ (pass * 0xbf58476d1ce4e5b9ULL);
   analysis::FleetResult fleet = analysis::run_fleet(opt_.specs, fopt);

@@ -11,8 +11,8 @@
 //
 // The backlog is advanced lazily: each query integrates the profile from
 // the last update time using sub-steps small enough to track the diurnal
-// curve.  Probe packets may optionally add their own bytes (event-mode
-// realism); their contribution is negligible against the fluid.
+// curve.  Every probe hop the walk crosses also books the probe's own
+// bytes (enqueue); their contribution is negligible against the fluid.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ class FluidQueue {
   /// buffer is (nearly) full, in which case the fluid overflow fraction.
   double drop_probability(TimePoint t);
 
-  /// Adds a packet's bytes to the backlog (event-mode enqueue).  Returns
-  /// false if the buffer cannot absorb it (tail drop).
+  /// Adds a packet's bytes to the backlog; the probe walk calls it at every
+  /// hop.  Returns false if the buffer cannot absorb it (tail drop).
   bool enqueue(TimePoint t, std::uint32_t size_bytes);
 
   /// Offered cross-traffic load at `t` in bps (0 when no profile is set).

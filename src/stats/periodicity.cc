@@ -1,6 +1,5 @@
 #include "stats/periodicity.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -34,9 +33,8 @@ std::vector<double> acf(std::span<const double> v, std::size_t max_lag) {
   return out;
 }
 
-DiurnalScore diurnal_score(std::span<const double> v, const DiurnalOptions& opt) {
+DiurnalScore diurnal_score(std::span<const double> v, std::size_t spd) {
   DiurnalScore score;
-  const std::size_t spd = opt.samples_per_day;
   if (spd == 0 || v.size() < 2 * spd) return score;
 
   const double a = autocorrelation(v, spd);
@@ -45,22 +43,21 @@ DiurnalScore diurnal_score(std::span<const double> v, const DiurnalOptions& opt)
   const std::size_t days = v.size() / spd;
   int elevated = 0;
   int days_with_data = 0;
-  const auto min_day_samples = static_cast<std::size_t>(
-      static_cast<double>(spd) * std::clamp(opt.min_day_coverage, 0.0, 1.0));
+  const auto min_day_samples =
+      static_cast<std::size_t>(static_cast<double>(spd) * kDiurnalMinDayCoverage);
   for (std::size_t d = 0; d < days; ++d) {
     auto day = v.subspan(d * spd, spd);
     if (finite_count(day) < min_day_samples) continue;  // too sparse to judge
     ++days_with_data;
     const double p90 = quantile(day, 0.90);
     const double p10 = quantile(day, 0.10);
-    if (p90 - p10 >= opt.elevation_ms) ++elevated;
+    if (p90 - p10 >= kDiurnalElevationMs) ++elevated;
   }
   score.elevated_days = elevated;
   score.days_with_data = days_with_data;
   score.elevated_day_frac = days_with_data > 0 ? static_cast<double>(elevated) / days_with_data : 0.0;
-  score.recurring = score.acf_day >= opt.acf_threshold &&
-                    score.elevated_day_frac >= opt.min_day_frac &&
-                    elevated >= opt.min_days;
+  score.recurring = score.acf_day >= kDiurnalAcfThreshold &&
+                    score.elevated_day_frac >= kDiurnalMinDayFrac && elevated >= kDiurnalMinDays;
   return score;
 }
 

@@ -24,24 +24,22 @@ struct DiurnalScore {
   double elevated_day_frac = 0.0;  ///< fraction of days with an elevated period
   int elevated_days = 0;       ///< absolute number of such days
   int days_with_data = 0;      ///< days dense enough to judge at all
-  bool recurring = false;      ///< final verdict given the options below
+  bool recurring = false;      ///< final verdict given the constants below
 };
 
-struct DiurnalOptions {
-  std::size_t samples_per_day = 288;  ///< 5-minute cadence
-  double acf_threshold = 0.2;         ///< minimum day-lag autocorrelation
-  double elevation_ms = 5.0;          ///< a day counts as elevated if its
-                                      ///< p90 exceeds its p10 by this much
-  double min_day_frac = 0.25;         ///< fraction of days that must recur
-  int min_days = 3;                   ///< and at least this many days
-  /// A day with less than this fraction of finite samples is too sparse to
-  /// judge: it joins neither the elevated count nor its denominator, so
-  /// outage/rate-limit gaps cannot dilute the recurrence fraction.
-  double min_day_coverage = 0.25;
-};
+inline constexpr double kDiurnalAcfThreshold = 0.2;  ///< minimum day-lag autocorrelation
+/// A day counts as elevated if its p90 exceeds its p10 by this much.
+inline constexpr double kDiurnalElevationMs = 5.0;
+inline constexpr double kDiurnalMinDayFrac = 0.25;  ///< fraction of days that must recur
+inline constexpr int kDiurnalMinDays = 3;           ///< and at least this many days
+/// A day with less than this fraction of finite samples is too sparse to
+/// judge: it joins neither the elevated count nor its denominator, so
+/// outage/rate-limit gaps cannot dilute the recurrence fraction.
+inline constexpr double kDiurnalMinDayCoverage = 0.25;
 
 /// Scores how diurnal the series is.  `v` is sampled uniformly, one entry
-/// per probing round, possibly containing NaN gaps.
-DiurnalScore diurnal_score(std::span<const double> v, const DiurnalOptions& opt = {});
+/// per probing round (`samples_per_day` of them per day), possibly
+/// containing NaN gaps.
+DiurnalScore diurnal_score(std::span<const double> v, std::size_t samples_per_day);
 
 }  // namespace ixp::stats

@@ -84,18 +84,17 @@ LinkReport CongestionClassifier::classify_with_shifts(const LinkSeries& link, Le
     return report;
   }
 
-  stats::DiurnalOptions dopt = opts_.diurnal;
-  dopt.samples_per_day = samples_per_day(link.far_rtt.interval);
+  const std::size_t spd = samples_per_day(link.far_rtt.interval);
   // Diurnality is judged over the episodes' active span (with margin), not
   // the whole campaign: congestion that was mitigated after two months is
   // still "recurring diurnal" within those months (QCELL-NETPAGE).
   {
     const auto& eps = report.far_shifts.episodes;
-    const std::size_t margin = 3 * dopt.samples_per_day;
+    const std::size_t margin = 3 * spd;
     const std::size_t lo = eps.front().begin > margin ? eps.front().begin - margin : 0;
     const std::size_t hi = std::min(link.far_rtt.ms.size(), eps.back().end + margin);
     const std::span<const double> active(link.far_rtt.ms.data() + lo, hi - lo);
-    report.diurnal = stats::diurnal_score(active, dopt);
+    report.diurnal = stats::diurnal_score(active, spd);
   }
 
   if (!report.diurnal.recurring) {
@@ -117,7 +116,7 @@ LinkReport CongestionClassifier::classify_with_shifts(const LinkSeries& link, Le
   if (report.verdict == Verdict::kCongested || report.verdict == Verdict::kInconclusive) {
     const auto& eps = report.far_shifts.episodes;
     const std::size_t margin_samples = static_cast<std::size_t>(
-        opts_.sustain_margin.count() / link.far_rtt.interval.count());
+        kSustainMargin.count() / link.far_rtt.interval.count());
     const std::size_t last_end = eps.empty() ? 0 : eps.back().end;
     // Also treat a far series that stops answering (link shut down, as for
     // GIXA-GHANATEL phase 2's end) as "sustained until the link vanished":

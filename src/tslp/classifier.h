@@ -59,14 +59,14 @@ struct WaveformStats {
 
 struct ClassifierOptions {
   LevelShiftOptions level_shift;
-  stats::DiurnalOptions diurnal;
   /// Near side is "clean" when it has no episode at this (stricter)
   /// threshold.
   double near_threshold_ms = 5.0;
-  /// Pattern must be absent for this long before the campaign end to call
-  /// the congestion transient.
-  Duration sustain_margin = kDay * 14;
 };
+
+/// Pattern must be absent for this long before the campaign end to call
+/// the congestion transient.
+inline constexpr Duration kSustainMargin = kDay * 14;
 
 struct LinkReport {
   std::string key;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "stats/descriptive.h"
 #include "stats/ranks.h"
@@ -16,32 +15,28 @@ namespace {
 using detail::WindowOutcome;
 
 // The darkness and quiet-spread gates of scan_window, no detection.  A
-// window that passes leaves its p95 - p05 spread in `spread` (+inf when the
-// quiet gate is off: such a window is scanned at any threshold).
+// window that passes leaves its p95 - p05 spread in `spread`.
 WindowOutcome gate_window(std::span<const double> chunk, std::size_t finite,
                           const LevelShiftOptions& opts, std::vector<double>& finite_buf,
                           double& spread) {
-  if (finite < opts.min_finite_window) return WindowOutcome::kDark;
-  spread = std::numeric_limits<double>::infinity();
-  if (opts.skip_quiet_windows) {
-    double lo = 0.0, hi = 0.0;
-    // No finite sample: the prefilter's quantiles would be NaN, and
-    // !(NaN - NaN >= x) skips the window.
-    if (!simd::finite_minmax(chunk, lo, hi)) return WindowOutcome::kQuiet;
-    // Exact conservative shortcut: p95 - p05 <= max - min, so a spread
-    // below the bar here is below the bar for the quantiles too.  Only
-    // windows that pass pay for the real prefilter.
-    if (hi - lo < opts.threshold_ms / 2.0) return WindowOutcome::kQuiet;
-    finite_buf.resize(chunk.size());
-    const std::size_t nf = simd::compact_finite(chunk, finite_buf.data());
-    const std::span<double> fb(finite_buf.data(), nf);
-    // quantile_inplace only permutes fb, so the second call sees the same
-    // multiset the first did -- both values match fresh quantile() calls.
-    const double q95 = stats::quantile_inplace(fb, 0.95);
-    const double q05 = stats::quantile_inplace(fb, 0.05);
-    spread = q95 - q05;
-    if (!(spread >= opts.threshold_ms / 2.0)) return WindowOutcome::kQuiet;
-  }
+  if (finite < kMinFiniteWindow) return WindowOutcome::kDark;
+  double lo = 0.0, hi = 0.0;
+  // No finite sample: the prefilter's quantiles would be NaN, and
+  // !(NaN - NaN >= x) skips the window.
+  if (!simd::finite_minmax(chunk, lo, hi)) return WindowOutcome::kQuiet;
+  // Exact conservative shortcut: p95 - p05 <= max - min, so a spread
+  // below the bar here is below the bar for the quantiles too.  Only
+  // windows that pass pay for the real prefilter.
+  if (hi - lo < opts.threshold_ms / 2.0) return WindowOutcome::kQuiet;
+  finite_buf.resize(chunk.size());
+  const std::size_t nf = simd::compact_finite(chunk, finite_buf.data());
+  const std::span<double> fb(finite_buf.data(), nf);
+  // quantile_inplace only permutes fb, so the second call sees the same
+  // multiset the first did -- both values match fresh quantile() calls.
+  const double q95 = stats::quantile_inplace(fb, 0.95);
+  const double q05 = stats::quantile_inplace(fb, 0.05);
+  spread = q95 - q05;
+  if (!(spread >= opts.threshold_ms / 2.0)) return WindowOutcome::kQuiet;
   return WindowOutcome::kScanned;
 }
 
@@ -63,8 +58,8 @@ WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std:
   return WindowOutcome::kScanned;
 }
 
-bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
-                    DetectScratch& scratch, LevelShiftResult& out, std::size_t& win) {
+bool prepare_series(const SeriesView& series, DetectScratch& scratch, LevelShiftResult& out,
+                    std::size_t& win) {
   const std::span<const double> v = series.ms;
   win = 0;
   if (v.empty()) return false;
@@ -74,11 +69,11 @@ bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
   IXP_CHECK(series.index_of(series.time_of(v.size() - 1)) == v.size() - 1,
             "SeriesView index/time round-trip is broken");
 
-  scratch.index.build(v, std::max<std::size_t>(1, opts.gap_min_run));
+  scratch.index.build(v, kGapMinRun);
   out.coverage =
       static_cast<double>(scratch.index.not_nan(0, v.size())) / static_cast<double>(v.size());
   out.gaps = scratch.index.gaps();
-  if (out.coverage < opts.min_coverage) {
+  if (out.coverage < kMinCoverage) {
     out.refused_low_coverage = true;
     return false;
   }
@@ -91,7 +86,7 @@ bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
   if (std::isnan(out.baseline_ms)) return false;
 
   win = std::max<std::size_t>(
-      2, static_cast<std::size_t>(opts.window.count() / series.interval.count()));
+      2, static_cast<std::size_t>(kAnalysisWindow.count() / series.interval.count()));
   return true;
 }
 
@@ -138,7 +133,7 @@ void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
     if (seg.level - out.baseline_ms >= opts.threshold_ms) {
       const std::size_t finite = scratch.index.not_nan(seg.begin, seg.end);
       const double span = static_cast<double>(seg.end - seg.begin);
-      if (span <= 0 || static_cast<double>(finite) / span < opts.min_episode_coverage) {
+      if (span <= 0 || static_cast<double>(finite) / span < kMinEpisodeCoverage) {
         continue;
       }
       raw.push_back({seg.begin, seg.end, seg.level - out.baseline_ms});
@@ -146,14 +141,12 @@ void assemble_result(const SeriesView& series, const LevelShiftOptions& opts,
   }
 
   const std::size_t gap_samples = std::max<std::size_t>(
-      1, static_cast<std::size_t>(opts.merge_gap.count() / series.interval.count()));
+      1, static_cast<std::size_t>(kMergeGap.count() / series.interval.count()));
   const auto all_missing = [&scratch](std::size_t from, std::size_t to) {
     return scratch.index.all_missing(from, to);
   };
   out.raw_episode_count = raw.size();
-  const std::vector<Episode> merged = sanitize_episodes(
-      std::move(raw), gap_samples,
-      opts.bridge_gaps ? std::function<bool(std::size_t, std::size_t)>(all_missing) : nullptr);
+  const std::vector<Episode> merged = sanitize_episodes(std::move(raw), gap_samples, all_missing);
 
   // Duration filter (ceil: see min_episode_samples).
   const std::size_t min_samples = min_episode_samples(opts.min_duration, series.interval);
@@ -193,7 +186,7 @@ LevelShiftResult detect_fast(const SeriesView& series, const LevelShiftOptions& 
                              DetectScratch& scratch) {
   LevelShiftResult out;
   std::size_t win = 0;
-  if (!detail::prepare_series(series, opts, scratch, out, win)) return out;
+  if (!detail::prepare_series(series, scratch, out, win)) return out;
   scratch.cps.clear();
   detail::scan_windows(series, opts, win, 0, scratch, out);
   detail::assemble_result(series, opts, scratch, out);

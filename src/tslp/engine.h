@@ -75,18 +75,17 @@ enum class WindowOutcome { kDark, kQuiet, kScanned };
 /// coverage / gaps / baseline, and derives the window size.  Returns false
 /// when detection ends here (empty series, coverage refusal, or NaN
 /// baseline); `out` is then final.
-bool prepare_series(const SeriesView& series, const LevelShiftOptions& opts,
-                    DetectScratch& scratch, LevelShiftResult& out, std::size_t& win);
+bool prepare_series(const SeriesView& series, DetectScratch& scratch, LevelShiftResult& out,
+                    std::size_t& win);
 
 /// One analysis window: the darkness and quiet-spread skips, then
 /// change-point detection with the window's perturbed seed.  Accepted
 /// global indices are appended to `cps`.  The online detector calls it as
 /// each window fills, so a window is processed identically no matter when
 /// its samples arrived.  `finite` must be the chunk's not-NaN count.  A
-/// scanned window's p95 - p05 spread is left in `spread` (+inf when
-/// skip_quiet_windows is off); the accepted change points do not depend on
-/// opts.threshold_ms, so the spread alone decides whether the window would
-/// also be scanned at a higher threshold.
+/// scanned window's p95 - p05 spread is left in `spread`; the accepted
+/// change points do not depend on opts.threshold_ms, so the spread alone
+/// decides whether the window would also be scanned at a higher threshold.
 WindowOutcome scan_window(std::span<const double> chunk, std::size_t begin, std::size_t finite,
                           const LevelShiftOptions& opts, stats::ChangePointScratch& cp,
                           std::vector<double>& finite_buf, std::vector<std::size_t>& cps,

@@ -26,36 +26,31 @@ namespace ixp::tslp {
 struct LevelShiftOptions {
   double threshold_ms = 10.0;        ///< minimum magnitude to label a shift
   Duration min_duration = kMinute * 30;
-  Duration window = kDay;            ///< change-point analysis window
   stats::CusumOptions cusum;         ///< rank-based by default
-  /// Windows whose p95-p05 spread is below threshold/2 cannot contain a
-  /// qualifying shift and are skipped (big speedup on quiet links).
-  bool skip_quiet_windows = true;
-  /// Merge episodes separated by gaps up to this long (sanitization).
-  Duration merge_gap = kMinute * 30;
-
-  // ---- Gap tolerance ----
-  // Real deployments return gappy series (monitor outages, ICMP rate
-  // limiting, loss trains); missing rounds must never be treated as
-  // observations.  These rules decide when the surviving samples still
-  // support a verdict.
-  /// Missing runs of at least this many samples become explicit SeriesGap
-  /// markers in the result.
-  std::size_t gap_min_run = 6;
-  /// Windows with fewer finite samples than this are skipped outright: a
-  /// handful of surviving points cannot support a change-point decision.
-  std::size_t min_finite_window = 8;
-  /// A raw episode must carry at least this fraction of finite samples
-  /// over its span, or it is discarded as unsupported.
-  double min_episode_coverage = 0.25;
-  /// Below this overall finite fraction the series is unjudgeable and the
-  /// detector reports no episodes at all.
-  double min_coverage = 0.02;
-  /// Merge episodes separated by an *all-missing* run of any length: a gap
-  /// carries no evidence that the level ever came back down.  (Gaps with
-  /// even one quiet finite sample in between still split episodes.)
-  bool bridge_gaps = true;
 };
+
+/// Change-point analysis window.
+inline constexpr Duration kAnalysisWindow = kDay;
+/// Merge episodes separated by gaps up to this long (sanitization).
+inline constexpr Duration kMergeGap = kMinute * 30;
+
+// ---- Gap tolerance ----
+// Real deployments return gappy series (monitor outages, ICMP rate
+// limiting, loss trains); missing rounds must never be treated as
+// observations.  These rules decide when the surviving samples still
+// support a verdict.
+/// Missing runs of at least this many samples become explicit SeriesGap
+/// markers in the result.
+inline constexpr std::size_t kGapMinRun = 6;
+/// Windows with fewer finite samples than this are skipped outright: a
+/// handful of surviving points cannot support a change-point decision.
+inline constexpr std::size_t kMinFiniteWindow = 8;
+/// A raw episode must carry at least this fraction of finite samples
+/// over its span, or it is discarded as unsupported.
+inline constexpr double kMinEpisodeCoverage = 0.25;
+/// Below this overall finite fraction the series is unjudgeable and the
+/// detector reports no episodes at all.
+inline constexpr double kMinCoverage = 0.02;
 
 /// Episode duration floor in samples.  Rounds *up*: an episode shorter than
 /// `min_duration` must never pass, so at a 7-minute cadence a 30-minute
@@ -94,8 +89,10 @@ std::vector<Episode> sanitize_episodes(std::vector<Episode> raw, std::size_t gap
 
 /// Same merge, with an extra predicate: episodes whose inter-gap
 /// [prev_end, next_begin) satisfies `also_merge` are merged even when the
-/// gap exceeds `gap_samples`.  Used by the detector to bridge all-missing
-/// gaps; a null predicate reduces to the two-argument form.
+/// gap exceeds `gap_samples`.  The detector bridges every all-missing run,
+/// of any length: a gap carries no evidence that the level ever came back
+/// down.  (Gaps with even one quiet finite sample in between still split
+/// episodes.)
 std::vector<Episode> sanitize_episodes(
     std::vector<Episode> raw, std::size_t gap_samples,
     const std::function<bool(std::size_t, std::size_t)>& also_merge);
@@ -107,20 +104,20 @@ void check_episode_invariants(const std::vector<Episode>& episodes);
 struct LevelShiftResult {
   double baseline_ms = 0.0;           ///< robust base RTT level
   double coverage = 1.0;              ///< finite fraction of the series
-  std::vector<SeriesGap> gaps;        ///< missing runs >= gap_min_run
+  std::vector<SeriesGap> gaps;        ///< missing runs >= kGapMinRun
   std::vector<stats::Segment> segments;
   std::vector<Episode> episodes;      ///< sanitized, duration-filtered
   /// Elevated segments that qualified as episodes before sanitization
   /// merged them; episodes.size() <= raw_episode_count always holds.
   std::size_t raw_episode_count = 0;
-  /// True when the series was too dark to judge (coverage < min_coverage)
+  /// True when the series was too dark to judge (coverage < kMinCoverage)
   /// and the detector refused to emit any verdict.
   bool refused_low_coverage = false;
 
   // Window telemetry (the detector's skip shortcuts classify windows
   // exactly as the scalar oracle's loop would).
   std::size_t windows_scanned = 0;        ///< ran change-point detection
-  std::size_t windows_skipped_dark = 0;   ///< fewer than min_finite_window
+  std::size_t windows_skipped_dark = 0;   ///< fewer than kMinFiniteWindow
   std::size_t windows_skipped_quiet = 0;  ///< p95-p05 spread below threshold/2
 
   [[nodiscard]] bool any() const { return !episodes.empty(); }

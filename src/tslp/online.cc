@@ -30,7 +30,7 @@ OnlineLevelShift::OnlineLevelShift(LevelShiftOptions opts, TimePoint start, Dura
             strformat("OnlineLevelShift interval must be positive, got %lldns",
                       static_cast<long long>(interval_.count())));
   win_ = std::max<std::size_t>(
-      2, static_cast<std::size_t>(opts_.window.count() / interval_.count()));
+      2, static_cast<std::size_t>(kAnalysisWindow.count() / interval_.count()));
   stride_ = win_ / 2;
 }
 
@@ -97,7 +97,7 @@ LevelShiftResult OnlineLevelShift::finalize(const SeriesView& full, DetectScratc
 
   LevelShiftResult out;
   std::size_t win = 0;
-  if (!detail::prepare_series(full, opts, scratch, out, win)) return out;
+  if (!detail::prepare_series(full, scratch, out, win)) return out;
   out.windows_skipped_dark = windows_skipped_dark_;
   out.windows_skipped_quiet = windows_skipped_quiet_;
 

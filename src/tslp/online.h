@@ -28,10 +28,8 @@
 // T0 and its recorded spread is >= T1/2; dark windows do not depend on T;
 // and a window's change points depend only on its samples, its begin index
 // and the CUSUM options, so the ones accepted at T0 are the ones T1 would
-// accept.  With skip_quiet_windows off every non-dark window is scanned at
-// any threshold (its spread is recorded as +inf).  Campaigns use this to
-// classify Table-2 snapshots at the classifier threshold from the far
-// detector that pushes at the 5 ms floor.
+// accept.  Campaigns use this to classify Table-2 snapshots at the
+// classifier threshold from the far detector that pushes at the 5 ms floor.
 #pragma once
 
 #include <cstddef>
@@ -96,7 +94,7 @@ class OnlineLevelShift {
   /// A window that passed the gates at the push threshold.
   struct ScannedWindow {
     std::size_t end = 0;        ///< implicit change point unless the series end
-    double spread = 0.0;        ///< p95 - p05 (+inf with the quiet gate off)
+    double spread = 0.0;        ///< p95 - p05 of its samples
     std::size_t cps_begin = 0;  ///< its accepted change points: cps_[cps_begin, cps_end)
     std::size_t cps_end = 0;
   };

@@ -60,11 +60,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::exponential(double rate) {
-  // Inverse CDF; 1 - uniform() is in (0, 1] so the log is finite.
-  return -std::log(1.0 - uniform()) / rate;
-}
-
 double Rng::pareto(double alpha, double xm) {
   return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
 }

@@ -47,8 +47,6 @@ class Rng {
   double normal();
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
-  /// Exponential with the given rate (mean 1/rate).
-  double exponential(double rate);
   /// Pareto with shape alpha and scale xm (heavy-tailed burst sizes).
   double pareto(double alpha, double xm);
   /// Bernoulli trial.

@@ -25,6 +25,11 @@ std::string to_lower(std::string_view s);
 /// Joins the pieces with `sep` between them.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
+/// The body of a JSON string literal holding `s`: quote and backslash
+/// escaped, newline/CR/tab as \n \r \t, other control bytes as \u00XX.
+/// Bytes >= 0x20 pass through unchanged.
+std::string json_escape(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -124,8 +124,8 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
   // early-out — a series that is almost entirely dark (monitor outage for
   // most of the window) cannot support any verdict.
   out.coverage = series.coverage();
-  out.gaps = tslp::find_gaps(series, std::max<std::size_t>(1, opts.gap_min_run));
-  if (out.coverage < opts.min_coverage) {
+  out.gaps = tslp::find_gaps(series, tslp::kGapMinRun);
+  if (out.coverage < tslp::kMinCoverage) {
     out.refused_low_coverage = true;
     return out;
   }
@@ -141,7 +141,7 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
   // the quiet-window fast path would skip them), but it sits mid-window in
   // the offset pass.
   const std::size_t win = std::max<std::size_t>(
-      2, static_cast<std::size_t>(opts.window.count() / series.interval.count()));
+      2, static_cast<std::size_t>(tslp::kAnalysisWindow.count() / series.interval.count()));
   std::vector<std::size_t> cps;
   for (std::size_t begin = 0; begin < v.size(); begin += win / 2) {
     const std::size_t end = std::min(begin + win, v.size());
@@ -153,17 +153,15 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
     for (const double x : chunk) {
       if (!std::isnan(x)) ++finite;
     }
-    if (finite < opts.min_finite_window) {
+    if (finite < tslp::kMinFiniteWindow) {
       ++out.windows_skipped_dark;
       continue;
     }
-    if (opts.skip_quiet_windows) {
-      const double hi = stats::quantile(chunk, 0.95);
-      const double lo = stats::quantile(chunk, 0.05);
-      if (!(hi - lo >= opts.threshold_ms / 2.0)) {
-        ++out.windows_skipped_quiet;
-        continue;
-      }
+    const double hi = stats::quantile(chunk, 0.95);
+    const double lo = stats::quantile(chunk, 0.05);
+    if (!(hi - lo >= opts.threshold_ms / 2.0)) {
+      ++out.windows_skipped_quiet;
+      continue;
     }
     ++out.windows_scanned;
     stats::CusumOptions copt = opts.cusum;
@@ -192,19 +190,19 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
         if (!std::isnan(v[i])) ++finite;
       }
       const double span = static_cast<double>(seg.end - seg.begin);
-      if (span <= 0 || static_cast<double>(finite) / span < opts.min_episode_coverage) {
+      if (span <= 0 || static_cast<double>(finite) / span < tslp::kMinEpisodeCoverage) {
         continue;
       }
       raw.push_back({seg.begin, seg.end, seg.level - out.baseline_ms});
     }
   }
 
-  // Sanitize: merge episodes separated by gaps <= merge_gap, and bridge
+  // Sanitize: merge episodes separated by gaps <= kMergeGap, and bridge
   // across all-missing runs of any length — the series was still elevated
   // at the last sample before the gap and at the first one after it, and
   // the gap itself carries no evidence the level came back down.
   const std::size_t gap_samples = std::max<std::size_t>(
-      1, static_cast<std::size_t>(opts.merge_gap.count() / series.interval.count()));
+      1, static_cast<std::size_t>(tslp::kMergeGap.count() / series.interval.count()));
   const auto all_missing = [&v](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
       if (!std::isnan(v[i])) return false;
@@ -212,11 +210,8 @@ LevelShiftResult detect_legacy(const RttSeries& series, const LevelShiftOptions&
     return true;
   };
   out.raw_episode_count = raw.size();
-  const std::vector<Episode> merged = tslp::sanitize_episodes(
-      std::move(raw), gap_samples,
-      opts.bridge_gaps
-          ? std::function<bool(std::size_t, std::size_t)>(all_missing)
-          : nullptr);
+  const std::vector<Episode> merged =
+      tslp::sanitize_episodes(std::move(raw), gap_samples, all_missing);
 
   // Duration filter (ceil: see min_episode_samples).
   const std::size_t min_samples = tslp::min_episode_samples(opts.min_duration, series.interval);

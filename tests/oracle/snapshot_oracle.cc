@@ -15,30 +15,6 @@ double max_magnitude_ms(const serve::LinkState& l) {
   return m;
 }
 
-// Minimal JSON string escaper.  Link keys, VP names, and IXP names are
-// plain ASCII by construction, but the renderers must stay safe for any
-// input that reaches a snapshot.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strformat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_link_json(std::string& out, const serve::LinkState& l, bool with_episodes) {
   out += "{";
   out += strformat("\"key\":\"%s\",", json_escape(l.key).c_str());

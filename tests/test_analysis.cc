@@ -532,7 +532,7 @@ TEST(FacilityDetector, SubstrateWideOutageIsNotConcentrated) {
 }
 
 TEST(FacilityDetector, TooFewLinksNeverFlagged) {
-  // min_links = 2: a one-link "facility" cannot show correlation.
+  // kFacilityMinLinks = 2: a one-link "facility" cannot show correlation.
   const auto verdicts = detect_facility_disruptions(facility_obs("F1", 1, 1, 10));
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_FALSE(verdicts[0].disrupted_verdict);

@@ -153,31 +153,5 @@ TEST(Bdrmap, DownMemberNotDiscovered) {
   EXPECT_TRUE(result.neighbors.count(65003u));
 }
 
-TEST(Bdrmap, RunsFromFileRoundTrippedPublicData) {
-  // Serialize every public dataset to its on-disk format, parse it back,
-  // and run bdrmap on the parsed copy: the inference must be unchanged
-  // (this pins the file formats as the real interface).
-  BdrmapWorld w(spec_with(3, 1));
-  registry::PublicData reparsed;
-  reparsed.delegations = registry::parse_delegations(registry::write_delegations(w.data.delegations));
-  reparsed.ixp_directory =
-      registry::parse_ixp_directory(registry::write_ixp_directory(w.data.ixp_directory));
-  reparsed.as_orgs = registry::parse_as_orgs(registry::write_as_orgs(w.data.as_orgs));
-  reparsed.prefix_origins =
-      registry::parse_prefix_origins(registry::write_prefix_origins(w.data.prefix_origins));
-  reparsed.ixp_participants =
-      registry::parse_ixp_participants(registry::write_ixp_participants(w.data.ixp_participants));
-  reparsed.vp_siblings = w.data.vp_siblings;
-  reparsed.bgp_paths = w.data.bgp_paths;
-
-  Bdrmap original(*w.prober, w.data, 30997);
-  const auto a = original.run();
-  Bdrmap from_files(*w.prober, reparsed, 30997);
-  const auto b = from_files.run();
-  EXPECT_EQ(a.neighbors, b.neighbors);
-  EXPECT_EQ(a.link_count(), b.link_count());
-  EXPECT_EQ(a.peering_link_count(), b.peering_link_count());
-}
-
 }  // namespace
 }  // namespace ixp::bdrmap

@@ -63,20 +63,5 @@ TEST(Geo, RdnsCaseInsensitive) {
   EXPECT_EQ(*city, "Nairobi");
 }
 
-TEST(Geo, LinkLocationCheck) {
-  topo::Topology tp;
-  fill_topology(tp);
-  const auto db = build_geo_database(tp);
-  const auto* ixp = tp.find_ixp("GIXA");
-  ASSERT_NE(ixp, nullptr);
-  const auto check = check_link_location(db, net::Ipv4Address(196, 49, 0, 1),
-                                         net::Ipv4Address(196, 49, 0, 2), *ixp);
-  EXPECT_TRUE(check.consistent());
-  const auto bad = check_link_location(db, net::Ipv4Address(196, 49, 0, 1),
-                                       net::Ipv4Address(8, 8, 8, 8), *ixp);
-  EXPECT_FALSE(bad.consistent());
-  EXPECT_TRUE(bad.near_matches);
-}
-
 }  // namespace
 }  // namespace ixp::geo

@@ -176,6 +176,19 @@ TEST(Export, JsonShape) {
   EXPECT_NE(s.find("\"spans\": []"), std::string::npos);
 }
 
+TEST(Export, JsonEscapesControlCharactersInLabels) {
+  // A label holding a newline or a tab must come out as \n / \t escapes:
+  // raw control bytes inside a JSON string make the whole file invalid.
+  Registry reg;
+  reg.counter("afixp_c_total", "k=\"a\nb\tc\x01\"")->set(1);
+  std::ostringstream out;
+  write_json(out, reg);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("\"labels\": \"k=\\\"a\\nb\\tc\\u0001\\\"\""), std::string::npos) << s;
+  EXPECT_EQ(s.find('\t'), std::string::npos);
+  EXPECT_EQ(s.find('\x01'), std::string::npos);
+}
+
 TEST(Export, PrometheusHistogramIsCumulativeWithInfBucket) {
   Registry reg;
   Histogram* h = reg.histogram("afixp_rtt_ms", {5, 10});

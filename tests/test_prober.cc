@@ -329,7 +329,7 @@ TEST(TslpDriver, EventModeMatchesFastPathUnderCongestion) {
   auto twin = analysis::build_scenario(spec);
   Prober tracer(twin->topology.net(), twin->vp_host, 0.0);
   const auto slow =
-      oracle::replay_far_rounds(tracer, hot_target(*twin).far_ip, start, end, round, cfg.max_ttl);
+      oracle::replay_far_rounds(tracer, hot_target(*twin).far_ip, start, end, round, kTslpMaxTtl);
   ASSERT_EQ(fast[0].far_rtt.ms.size(), slow.size());
   for (std::size_t i = 0; i < slow.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[0].far_rtt.ms[i]),

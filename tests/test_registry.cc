@@ -80,62 +80,5 @@ TEST(Registry, IxpForLooksUpLan) {
   EXPECT_EQ(data.ixp_for(net::Ipv4Address(41, 0, 0, 1)), nullptr);
 }
 
-TEST(Registry, DelegationRoundTrip) {
-  std::vector<DelegationRecord> recs = {
-      {"afrinic", "GH", *net::Ipv4Prefix::parse("41.0.0.0/22"), "allocated", "ORG-VP"},
-      {"afrinic", "GH", *net::Ipv4Prefix::parse("154.64.0.0/30"), "assigned", "ORG-TR"},
-  };
-  const auto parsed = parse_delegations(write_delegations(recs));
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].prefix, recs[0].prefix);
-  EXPECT_EQ(parsed[1].prefix, recs[1].prefix);
-  EXPECT_EQ(parsed[1].org_id, "ORG-TR");
-  EXPECT_EQ(parsed[1].status, "assigned");
-}
-
-TEST(Registry, IxpDirectoryRoundTrip) {
-  std::vector<IxpDirectoryEntry> entries = {
-      {"GIXA", "GH", *net::Ipv4Prefix::parse("196.49.0.0/24"),
-       *net::Ipv4Prefix::parse("196.49.1.0/24")},
-  };
-  const auto parsed = parse_ixp_directory(write_ixp_directory(entries));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].name, "GIXA");
-  EXPECT_EQ(parsed[0].peering_prefix, entries[0].peering_prefix);
-}
-
-TEST(Registry, AsOrgRoundTrip) {
-  std::vector<AsOrgRecord> recs = {{30997, "ORG-GIXA", "GIXA", "GH"}};
-  const auto parsed = parse_as_orgs(write_as_orgs(recs));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].asn, 30997u);
-  EXPECT_EQ(parsed[0].org_id, "ORG-GIXA");
-}
-
-TEST(Registry, PrefixOriginsRoundTrip) {
-  std::vector<std::pair<net::Ipv4Prefix, topo::Asn>> origins = {
-      {*net::Ipv4Prefix::parse("41.0.0.0/22"), 100},
-  };
-  const auto parsed = parse_prefix_origins(write_prefix_origins(origins));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].second, 100u);
-}
-
-TEST(Registry, ParticipantsRoundTrip) {
-  std::vector<IxpParticipant> parts = {{"GIXA", net::Ipv4Address(196, 49, 0, 7), 29614}};
-  const auto parsed = parse_ixp_participants(write_ixp_participants(parts));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].ixp, "GIXA");
-  EXPECT_EQ(parsed[0].lan_ip, parts[0].lan_ip);
-  EXPECT_EQ(parsed[0].asn, 29614u);
-}
-
-TEST(Registry, ParsersIgnoreGarbage) {
-  EXPECT_TRUE(parse_delegations("not|a|valid|line\n\n##\n").empty());
-  EXPECT_TRUE(parse_ixp_directory("x\n").empty());
-  EXPECT_TRUE(parse_as_orgs("abc|x|y|z\n").empty());
-  EXPECT_TRUE(parse_prefix_origins("nonsense\n").empty());
-}
-
 }  // namespace
 }  // namespace ixp::registry

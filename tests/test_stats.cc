@@ -411,9 +411,7 @@ TEST(Periodicity, AutocorrelationOfPeriodicSeries) {
 
 TEST(Periodicity, DiurnalScoreRecurring) {
   const auto v = diurnal_series(12, 96, 15, 0.5, 31);
-  DiurnalOptions opt;
-  opt.samples_per_day = 96;
-  const auto score = diurnal_score(v, opt);
+  const auto score = diurnal_score(v, 96);
   EXPECT_TRUE(score.recurring);
   EXPECT_GT(score.elevated_day_frac, 0.9);
 }
@@ -422,9 +420,7 @@ TEST(Periodicity, FlatSeriesNotRecurring) {
   Rng rng(37);
   std::vector<double> v(96 * 12);
   for (auto& x : v) x = 10 + 0.5 * rng.normal();
-  DiurnalOptions opt;
-  opt.samples_per_day = 96;
-  EXPECT_FALSE(diurnal_score(v, opt).recurring);
+  EXPECT_FALSE(diurnal_score(v, 96).recurring);
 }
 
 TEST(Periodicity, SingleStepNotRecurring) {
@@ -435,17 +431,13 @@ TEST(Periodicity, SingleStepNotRecurring) {
     const double base = (i > 96 * 5 && i < 96 * 8) ? 30.0 : 10.0;
     v.push_back(base + 0.4 * rng.normal());
   }
-  DiurnalOptions opt;
-  opt.samples_per_day = 96;
-  const auto score = diurnal_score(v, opt);
+  const auto score = diurnal_score(v, 96);
   EXPECT_FALSE(score.recurring);
 }
 
 TEST(Periodicity, TooShortSeries) {
   const std::vector<double> v(50, 10.0);
-  DiurnalOptions opt;
-  opt.samples_per_day = 96;
-  EXPECT_FALSE(diurnal_score(v, opt).recurring);
+  EXPECT_FALSE(diurnal_score(v, 96).recurring);
 }
 
 TEST(Periodicity, Lag0IsOne) {

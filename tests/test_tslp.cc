@@ -282,10 +282,6 @@ TEST(LevelShiftProperty, ConstantSeriesHasNoEpisodes) {
   EXPECT_FALSE(res.any());
   EXPECT_EQ(res.coverage, 1.0);
   EXPECT_TRUE(res.gaps.empty());
-  // Holds without the quiet-window fast path too.
-  LevelShiftOptions opt;
-  opt.skip_quiet_windows = false;
-  EXPECT_FALSE(LevelShiftDetector(opt).detect(s).any());
 }
 
 TEST(LevelShiftProperty, ConstantOffsetPreservesEpisodes) {
@@ -354,7 +350,7 @@ TEST(Series, FindGapsMarksMissingRuns) {
 TEST(LevelShift, SanitizeBridgesOnlyWhenPredicateHolds) {
   std::vector<Episode> raw;
   raw.push_back({100, 200, 20.0});
-  raw.push_back({260, 360, 20.0});  // 60-sample gap, far beyond merge_gap
+  raw.push_back({260, 360, 20.0});  // 60-sample gap, far beyond kMergeGap
   const auto split = sanitize_episodes(raw, 6, nullptr);
   EXPECT_EQ(split.size(), 2u);
   const auto bridged =
@@ -398,7 +394,7 @@ TEST(LevelShift, QuietEvidenceSplitsWhereMissingnessDoesNot) {
 }
 
 TEST(LevelShift, UnjudgeableSeriesReportsCoverageOnly) {
-  // 1152 rounds with only 8 survivors: below min_coverage the detector
+  // 1152 rounds with only 8 survivors: below kMinCoverage the detector
   // must refuse to produce episodes, however elevated the survivors look.
   RttSeries s;
   s.interval = kMinute * 5;
@@ -979,40 +975,36 @@ TEST(OnlineProperty, FinalizeAtHigherThresholdMatchesDetect) {
   }
   Rng rng(0x7411);
   std::size_t regated = 0;  // results whose scanned-window count T1 changed
-  for (const bool skip_quiet : {true, false}) {
-    LevelShiftOptions push_opts;
-    push_opts.threshold_ms = 5.0;
-    push_opts.skip_quiet_windows = skip_quiet;
-    for (std::size_t idx = 0; idx < corpus.size(); ++idx) {
-      const auto& s = corpus[idx];
-      OnlineLevelShift online(push_opts, s.start, s.interval);
-      std::size_t fed = 0;
-      while (fed < s.ms.size()) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            rng.uniform_int(1, static_cast<std::int64_t>(s.ms.size() - fed)));
-        online.push(std::span<const double>(s.ms).subspan(fed, chunk));
-        fed += chunk;
-        // Finalizing mid-stream at T1 must leave the detector resumable.
-        if (fed < s.ms.size()) {
-          SCOPED_TRACE("series " + std::to_string(idx) + " prefix " + std::to_string(fed));
-          const SeriesView prefix{std::span<const double>(s.ms).first(fed), s.start, s.interval};
-          LevelShiftOptions at = push_opts;
-          at.threshold_ms = 20.0;
-          expect_same_result(online.finalize(prefix, scratch, 20.0),
-                             detect_fast(prefix, at, scratch), "mid-stream finalize(T1)");
-        }
-      }
-      std::size_t scanned_at_t0 = 0;
-      for (const double t1 : {5.0, 10.0, 20.0}) {
-        SCOPED_TRACE("series " + std::to_string(idx) + " skip_quiet " +
-                     std::to_string(skip_quiet) + " T1 " + std::to_string(t1));
+  LevelShiftOptions push_opts;
+  push_opts.threshold_ms = 5.0;
+  for (std::size_t idx = 0; idx < corpus.size(); ++idx) {
+    const auto& s = corpus[idx];
+    OnlineLevelShift online(push_opts, s.start, s.interval);
+    std::size_t fed = 0;
+    while (fed < s.ms.size()) {
+      const std::size_t chunk = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(s.ms.size() - fed)));
+      online.push(std::span<const double>(s.ms).subspan(fed, chunk));
+      fed += chunk;
+      // Finalizing mid-stream at T1 must leave the detector resumable.
+      if (fed < s.ms.size()) {
+        SCOPED_TRACE("series " + std::to_string(idx) + " prefix " + std::to_string(fed));
+        const SeriesView prefix{std::span<const double>(s.ms).first(fed), s.start, s.interval};
         LevelShiftOptions at = push_opts;
-        at.threshold_ms = t1;
-        const LevelShiftResult got = online.finalize(view_of(s), scratch, t1);
-        expect_same_result(got, detect_fast(view_of(s), at, scratch), "finalize(T1) vs fast");
-        if (t1 == 5.0) scanned_at_t0 = got.windows_scanned;
-        if (got.windows_scanned != scanned_at_t0) ++regated;
+        at.threshold_ms = 20.0;
+        expect_same_result(online.finalize(prefix, scratch, 20.0),
+                           detect_fast(prefix, at, scratch), "mid-stream finalize(T1)");
       }
+    }
+    std::size_t scanned_at_t0 = 0;
+    for (const double t1 : {5.0, 10.0, 20.0}) {
+      SCOPED_TRACE("series " + std::to_string(idx) + " T1 " + std::to_string(t1));
+      LevelShiftOptions at = push_opts;
+      at.threshold_ms = t1;
+      const LevelShiftResult got = online.finalize(view_of(s), scratch, t1);
+      expect_same_result(got, detect_fast(view_of(s), at, scratch), "finalize(T1) vs fast");
+      if (t1 == 5.0) scanned_at_t0 = got.windows_scanned;
+      if (got.windows_scanned != scanned_at_t0) ++regated;
     }
   }
   // The corpus must exercise the re-gate, or the replay is untested.
@@ -1026,7 +1018,7 @@ TEST(OnlineProperty, BoundedMemory) {
   const auto s = diurnal_far(30, 2.0, 18.0, 12.0, 6.0, 0.3, 121);
   OnlineLevelShift online(opts, s.start, s.interval);
   const std::size_t win = std::max<std::size_t>(
-      2, static_cast<std::size_t>(opts.window.count() / s.interval.count()));
+      2, static_cast<std::size_t>(kAnalysisWindow.count() / s.interval.count()));
   const std::size_t bound = win + std::max<std::size_t>(1, win / 2);
   std::size_t high_water = 0;
   for (const double x : s.ms) {
@@ -1133,7 +1125,7 @@ TEST(LevelShift, MinDurationCeilAtOddCadence) {
 // Raw vs columnar-decoded classification (coverage refusal parity)
 
 TEST(Classifier, ColumnarRefusalMatchesRaw) {
-  // A link whose far side is below min_coverage must be refused with the
+  // A link whose far side is below kMinCoverage must be refused with the
   // same verdict whether the series comes in raw or is decoded from the
   // columnar store -- coverage is computed over the same sample count, so
   // the round trip (which preserves NaN runs exactly) cannot flip it.

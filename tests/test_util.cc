@@ -109,14 +109,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(ss / n, 1.0, 0.05);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng r(13);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += r.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.03);
-}
-
 TEST(Rng, ChanceProbability) {
   Rng r(17);
   int hits = 0;
@@ -197,6 +189,13 @@ TEST(Strings, HumanCountAndBytes) {
 
 // ---------------------------------------------------------------------------
 // csv
+
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("plain AS30997-AS65001"), "plain AS30997-AS65001");
+  EXPECT_EQ(json_escape("q\"b\\"), "q\\\"b\\\\");
+  EXPECT_EQ(json_escape("a\nb\rc\td"), "a\\nb\\rc\\td");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f\0", 3)), "\\u0001\\u001f\\u0000");
+}
 
 TEST(Csv, EscapesSpecials) {
   EXPECT_EQ(csv_escape("plain"), "plain");

@@ -98,10 +98,13 @@ int cmd_campaign(int argc, const char* const* argv) {
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
   const auto& spec = specs[static_cast<std::size_t>(vp - 1)];
+  const auto length = analysis::campaign_length_from_days(flags.get_int("days"),
+                                                          spec.campaign_start, "--days", std::cerr);
+  if (!length) return 2;
   auto rt = analysis::build_scenario(spec);
   analysis::CampaignOptions opt;
   opt.round_interval = *interval;
-  if (flags.get_int("days") > 0) opt.duration_override = kDay * flags.get_int("days");
+  opt.duration_override = *length;
   obs::Registry metrics_reg;
   const std::string metrics_out = flags.get_string("metrics-out");
   if (!metrics_out.empty()) opt.metrics = &metrics_reg;
@@ -301,10 +304,13 @@ int cmd_chaos(int argc, const char* const* argv) {
                          ? analysis::make_all_vps()
                          : analysis::generate_substrate(
                                *topo::topo_spec_preset(plan->substrate));
+  const auto length = analysis::campaign_length_from_days(
+      flags.get_int("days"), analysis::latest_campaign_start(specs), "--days", std::cerr);
+  if (!length) return 2;
   analysis::FleetOptions fopt;
   fopt.campaign.round_interval = *interval;
-  if (flags.get_int("days") > 0) {
-    fopt.campaign.duration_override = kDay * flags.get_int("days");
+  if (length->count() > 0) {
+    fopt.campaign.duration_override = *length;
   } else if (flags.get_bool("fast")) {
     fopt.campaign.duration_override = kDay * 42;
   }
@@ -474,8 +480,11 @@ int cmd_serve(int argc, const char* const* argv) {
   sopt.fault_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   sopt.rounds = static_cast<std::uint64_t>(rounds);
   sopt.campaign.round_interval = *interval;
-  if (flags.get_int("days") > 0) {
-    sopt.campaign.duration_override = kDay * flags.get_int("days");
+  const auto length = analysis::campaign_length_from_days(
+      flags.get_int("days"), analysis::latest_campaign_start(sopt.specs), "--days", std::cerr);
+  if (!length) return 2;
+  if (length->count() > 0) {
+    sopt.campaign.duration_override = *length;
   } else if (flags.get_bool("fast")) {
     sopt.campaign.duration_override = kDay * 42;
   }
@@ -548,7 +557,11 @@ int cmd_gen(int argc, const char* const* argv) {
     return 2;
   }
   if (flags.get_int("seed") > 0) spec->seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  if (flags.get_int("days") > 0) spec->days = static_cast<int>(flags.get_int("days"));
+  // Generated substrates start their campaigns at the epoch.
+  const auto length =
+      analysis::campaign_length_from_days(flags.get_int("days"), TimePoint{}, "--days", std::cerr);
+  if (!length) return 2;
+  if (length->count() > 0) spec->days = static_cast<int>(flags.get_int("days"));
   if (flags.get_bool("print")) {
     std::cout << topo::topo_spec_to_string(*spec);
     return 0;

@@ -12,13 +12,16 @@
 # usage error and --help answers without running the bench.
 #
 # usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary>
+#                     <bench_serve_binary> <bench_substrate_binary>
 set -u
 
-usage="usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary>"
+usage="usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary> <bench_serve_binary> <bench_substrate_binary>"
 afixp=${1:?$usage}
 bench_fig1=${2:?$usage}
 bench_table1=${3:?$usage}
-for b in "$afixp" "$bench_fig1" "$bench_table1"; do
+bench_serve=${4:?$usage}
+bench_substrate=${5:?$usage}
+for b in "$afixp" "$bench_fig1" "$bench_table1" "$bench_serve" "$bench_substrate"; do
     [ -x "$b" ] || { echo "check_cli: cannot execute $b" >&2; exit 1; }
 done
 
@@ -101,6 +104,27 @@ usage_error serve --rounds -1
 names_flag --rounds "serve --rounds -1"
 usage_error serve --http-threads 0
 names_flag --http-threads "serve --http-threads 0"
+
+# A day count is checked by name wherever it is taken: a negative one used
+# to run the full calendar, and 110000 days overflows the nanosecond clock
+# (and `gen` narrowed it to int); both exited 0.
+for d in -5 110000; do
+    usage_error campaign --vp 6 --round-minutes 1440 --days "$d"
+    names_flag --days "campaign --days $d"
+    usage_error chaos --fast --round-minutes 1440 --days "$d"
+    names_flag --days "chaos --days $d"
+    usage_error serve --fast --round-minutes 1440 --days "$d"
+    names_flag --days "serve --days $d"
+    usage_error gen --spec continent100 --days "$d"
+    names_flag --days "gen --days $d"
+    for b in "$bench_serve" "$bench_substrate"; do
+        out=$("$b" --smoke --out "" --days "$d" 2>&1 >/dev/null)
+        rc=$?
+        [ "$rc" -eq 2 ] || err "'$(basename "$b") --days $d' exited $rc, expected 2"
+        echo "$out" | grep -q -- --days ||
+            err "'$(basename "$b") --days $d' does not name the flag --days"
+    done
+done
 
 # --- 6. Flags are the only run configuration ------------------------------
 # The retired IXP_METRICS default must not write a file, and --help prints
