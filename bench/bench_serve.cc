@@ -81,9 +81,13 @@ int main(int argc, char** argv) {
   flags.add_string("spec", "continent100",
                    "substrate preset to serve (paper6 = the six hand-written VPs)");
   flags.add_int("seconds", 10, "soak window length");
-  flags.add_int("client-threads", 2, "keep-alive client threads");
-  flags.add_int("http-threads", 2, "HTTP worker threads");
-  flags.add_int("jobs", 0, "fleet workers (0 = hardware concurrency)");
+  flags.add_int("client-threads", 2,
+                strformat("keep-alive client threads (1..%d)", analysis::kMaxThreadsFlag));
+  flags.add_int("http-threads", 2,
+                strformat("HTTP worker threads (1..%d)", analysis::kMaxThreadsFlag));
+  flags.add_int("jobs", 0,
+                strformat("fleet workers (0 = hardware concurrency, else 1..%d)",
+                          analysis::kMaxThreadsFlag));
   flags.add_int("days", 0, "campaign length in days (0 = full calendar)");
   flags.add_string("out", "BENCH_serve.json", "output JSON path (empty = stdout)");
   if (!flags.parse(argc, argv)) {
@@ -95,13 +99,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const auto http_threads = analysis::thread_count_from_flag(
+      flags.get_int("http-threads"), /*zero_is_auto=*/false, "--http-threads", std::cerr);
+  const auto client_threads = analysis::thread_count_from_flag(
+      flags.get_int("client-threads"), /*zero_is_auto=*/false, "--client-threads", std::cerr);
+  const auto jobs = analysis::thread_count_from_flag(flags.get_int("jobs"), /*zero_is_auto=*/true,
+                                                     "--jobs", std::cerr);
+  if (!http_threads || !client_threads || !jobs) return 2;
+
   const bool smoke = flags.get_bool("smoke");
   SoakReport report;
   report.workload = smoke ? "smoke" : "full";
   report.spec = smoke ? "paper6" : flags.get_string("spec");
-  report.http_threads = static_cast<int>(flags.get_int("http-threads"));
-  report.client_threads =
-      smoke ? 1 : static_cast<int>(flags.get_int("client-threads"));
+  report.http_threads = *http_threads;
+  report.client_threads = smoke ? 1 : *client_threads;
   report.host_cpus = std::thread::hardware_concurrency();
   const int soak_seconds =
       smoke ? 2 : static_cast<int>(flags.get_int("seconds"));
@@ -131,7 +142,7 @@ int main(int argc, char** argv) {
   } else if (smoke) {
     sopt.campaign.duration_override = kDay * 7;
   }
-  sopt.jobs = static_cast<int>(flags.get_int("jobs"));
+  sopt.jobs = *jobs;
   sopt.http_threads = report.http_threads;
   sopt.rounds = 0;  // keep passes coming until the soak window closes
 

@@ -144,7 +144,9 @@ int main(int argc, char** argv) {
   flags.add_bool("smoke", false, "CI-sized substrate (seconds, not minutes)");
   flags.add_string("spec", "continent100",
                    "topology-spec preset (paper6, regional50, continent100) or spec file");
-  flags.add_int("jobs", 0, "fleet workers (0 = hardware concurrency)");
+  flags.add_int("jobs", 0,
+                strformat("fleet workers (0 = hardware concurrency, else 1..%d)",
+                          analysis::kMaxThreadsFlag));
   flags.add_int("seed", 0, "override the preset's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = spec)");
   flags.add_string("out", "BENCH_substrate.json", "output JSON path (empty = stdout)");
@@ -156,6 +158,10 @@ int main(int argc, char** argv) {
     std::cout << flags.help_text();
     return 0;
   }
+
+  const auto jobs = analysis::thread_count_from_flag(flags.get_int("jobs"), /*zero_is_auto=*/true,
+                                                     "--jobs", std::cerr);
+  if (!jobs) return 2;
 
   const bool smoke = flags.get_bool("smoke");
   topo::TopoSpec spec;
@@ -183,7 +189,7 @@ int main(int argc, char** argv) {
 
   SubstrateBenchReport report;
   try {
-    report = run_substrate_benchmark(spec, static_cast<int>(flags.get_int("jobs")), *days);
+    report = run_substrate_benchmark(spec, *jobs, *days);
   } catch (const std::exception& e) {
     std::cerr << "bench_substrate: " << e.what() << "\n";
     return 1;

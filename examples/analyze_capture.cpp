@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
     std::cerr << path << ": not a warts-lite capture\n";
     return 1;
   }
-  std::cout << "capture: " << file->links.size() << " link series, " << file->losses.size()
-            << " loss series, " << file->traces.size() << " traces\n";
+  std::cout << "capture: " << file->links.size() << " link series\n";
   std::cout << "re-analysing at threshold " << threshold << " ms\n\n";
 
   tslp::ClassifierOptions copt;

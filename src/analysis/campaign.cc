@@ -476,6 +476,16 @@ std::optional<Duration> campaign_length_from_days(std::int64_t days, TimePoint l
   return kDay * days;
 }
 
+std::optional<int> thread_count_from_flag(std::int64_t value, bool zero_is_auto,
+                                          const char* source, std::ostream& err) {
+  if ((value == 0 && zero_is_auto) || (value >= 1 && value <= kMaxThreadsFlag)) {
+    return static_cast<int>(value);
+  }
+  err << source << " must be " << (zero_is_auto ? "0 (auto) or " : "") << "in 1.."
+      << kMaxThreadsFlag << ", got " << value << "\n";
+  return std::nullopt;
+}
+
 TimePoint latest_campaign_start(const std::vector<VpSpec>& specs) {
   TimePoint latest{};
   for (const VpSpec& s : specs) latest = std::max(latest, s.campaign_start);

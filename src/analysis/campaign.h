@@ -225,6 +225,20 @@ std::optional<Duration> round_interval_from_minutes(double minutes, const char* 
 std::optional<Duration> campaign_length_from_days(std::int64_t days, TimePoint latest_start,
                                                   const char* source, std::ostream& err);
 
+/// The most threads any thread-count flag asks for (`--jobs`,
+/// `--http-threads`, `--client-threads`).  The fleet clamps `--jobs` to its
+/// campaign count anyway; the HTTP and client pools start one thread per
+/// unit, so a count past this is a typo, not a host.
+inline constexpr int kMaxThreadsFlag = 256;
+
+/// A thread-count flag's value as an int: 1..kMaxThreadsFlag, plus 0
+/// ("auto") when `zero_is_auto`.  nullopt -- after writing the allowed
+/// range, naming `source`, to `err` -- for anything else.  Every
+/// thread-count flag goes through here before it is narrowed: unchecked,
+/// 2^32 + 2 narrows to 2 and a negative `--jobs` silently means "auto".
+std::optional<int> thread_count_from_flag(std::int64_t value, bool zero_is_auto,
+                                          const char* source, std::ostream& err);
+
 /// The latest campaign_start among `specs` (the epoch when empty).
 TimePoint latest_campaign_start(const std::vector<VpSpec>& specs);
 

@@ -53,11 +53,6 @@ struct ChaosScore {
   [[nodiscard]] double precision() const;
   [[nodiscard]] double recall() const;
   [[nodiscard]] bool case_studies_ok() const;
-  /// The oracle bar: no false positives, no false negatives, and both
-  /// GIXA case studies match their ground truth.
-  [[nodiscard]] bool perfect() const {
-    return fp == 0 && fn == 0 && case_studies_ok();
-  }
 };
 
 /// Scores one fleet's classification results against the specs' engineered

@@ -6,7 +6,6 @@
 
 #include "sim/faults.h"
 #include "util/fault_plan.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -76,8 +75,6 @@ std::size_t ScenarioRuntime::apply_timeline_until(TimePoint t) {
   std::size_t fired = 0;
   defer_reroutes_ = true;
   while (timeline_cursor_ < timeline.size() && timeline[timeline_cursor_].at <= t) {
-    IXP_INFO << "timeline: " << format_time(timeline[timeline_cursor_].at) << " "
-             << timeline[timeline_cursor_].what;
     timeline[timeline_cursor_].apply();
     ++timeline_cursor_;
     ++fired;
@@ -320,10 +317,10 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
       (void)is_ptp;
       return LinkWindow{n.join, n.leave};
     };
-    auto schedule_window = [&](int link_id, const LinkWindow& w, const std::string& label) {
+    auto schedule_window = [&](int link_id, const LinkWindow& w) {
       if (w.up > spec.campaign_start) {
         tp.net().link(link_id).set_up(false);
-        rt->timeline.push_back({w.up, label + " up",
+        rt->timeline.push_back({w.up,
                                 [rtp, link_id]() {
                                   rtp->topology.net().link(link_id).set_up(true);
                                   rtp->reroute();
@@ -331,7 +328,7 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
                                 /*membership=*/true});
       }
       if (w.down < kForever) {
-        rt->timeline.push_back({w.down, label + " down",
+        rt->timeline.push_back({w.down,
                                 [rtp, link_id]() {
                                   rtp->topology.net().link(link_id).set_up(false);
                                   rtp->reroute();
@@ -340,12 +337,10 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
       }
     };
     for (int i = 0; i < lan_count; ++i) {
-      schedule_window(lan_ports[static_cast<std::size_t>(i)], window_of(n.lan_windows, i, false),
-                      n.name + strformat(" LAN port %d", i));
+      schedule_window(lan_ports[static_cast<std::size_t>(i)], window_of(n.lan_windows, i, false));
     }
     for (int j = 0; j < ptp_count; ++j) {
-      schedule_window(ptps[static_cast<std::size_t>(j)], window_of(n.ptp_windows, j, true),
-                      n.name + strformat(" ptp %d", j));
+      schedule_window(ptps[static_cast<std::size_t>(j)], window_of(n.ptp_windows, j, true));
     }
 
     // ---- Capacity upgrades on the congested link ----------------------------
@@ -355,11 +350,9 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
       if (target_link < 0) continue;
       const TimePoint at = when;
       const double cap = new_cap;
-      rt->timeline.push_back(
-          {at, n.name + " port upgraded to " + strformat("%.0f Mb/s", cap / 1e6),
-           [rtp, target_link, cap, at]() {
-             rtp->topology.net().link(target_link).upgrade(at, cap, 0.25 * cap / 8.0);
-           }});
+      rt->timeline.push_back({at, [rtp, target_link, cap, at]() {
+        rtp->topology.net().link(target_link).upgrade(at, cap, 0.25 * cap / 8.0);
+      }});
     }
 
     // ---- Route-change noise --------------------------------------------------
@@ -393,17 +386,14 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
         // The inbound direction (toward the neighbor's router) gains the
         // delay: only probes crossing INTO this port see the shift; replies
         // leaving via this port, and the member's other links, stay clean.
-        rt->timeline.push_back(
-            {up_at, n.name + " route change (+" + strformat("%.1f", mag) + "ms)",
-             [rtp, target_link, target_router, mag]() {
-               auto& l = rtp->topology.net().link(target_link);
-               l.set_extra_delay_from(l.other(target_router), milliseconds(mag));
-             }});
-        rt->timeline.push_back({down_at, n.name + " route restored",
-                                [rtp, target_link, target_router]() {
-                                  auto& l = rtp->topology.net().link(target_link);
-                                  l.set_extra_delay_from(l.other(target_router), Duration(0));
-                                }});
+        rt->timeline.push_back({up_at, [rtp, target_link, target_router, mag]() {
+          auto& l = rtp->topology.net().link(target_link);
+          l.set_extra_delay_from(l.other(target_router), milliseconds(mag));
+        }});
+        rt->timeline.push_back({down_at, [rtp, target_link, target_router]() {
+          auto& l = rtp->topology.net().link(target_link);
+          l.set_extra_delay_from(l.other(target_router), Duration(0));
+        }});
       }
     }
 
@@ -414,10 +404,9 @@ std::unique_ptr<ScenarioRuntime> build_scenario(const VpSpec& spec) {
         const double cap = n.port_capacity_bps;
         const double buf = phases[p].a_w_ms / 1e3 * cap / 8.0;
         const TimePoint at = phases[p].begin;
-        rt->timeline.push_back({at, n.name + " buffer re-provisioned",
-                                [rtp, target_link, cap, buf, at]() {
-                                  rtp->topology.net().link(target_link).upgrade(at, cap, buf);
-                                }});
+        rt->timeline.push_back({at, [rtp, target_link, cap, buf, at]() {
+          rtp->topology.net().link(target_link).upgrade(at, cap, buf);
+        }});
       }
     };
     buffer_phases(n.congestion, lan_ports.empty() ? -1 : lan_ports.front());
@@ -515,8 +504,8 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
   }
 
   std::vector<TimelineEvent> events;
-  auto push = [&](TimePoint at, std::string what, std::function<void()> apply) {
-    events.push_back({at, std::move(what),
+  auto push = [&](TimePoint at, std::function<void()> apply) {
+    events.push_back({at,
                       [fi, apply = std::move(apply)]() {
                         apply();
                         fi->note_timeline_fault();
@@ -531,11 +520,11 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
                               eligible.size()];
     const int link_id = h.lan_links.front();
     for (const auto& w : fi->flap_windows()[k]) {
-      push(w.begin, "chaos: " + h.name + " port flap (down)", [rtp, link_id]() {
+      push(w.begin, [rtp, link_id]() {
         rtp->topology.net().link(link_id).set_up(false);
         rtp->reroute();
       });
-      push(w.end, "chaos: " + h.name + " port flap (restored)", [rtp, link_id]() {
+      push(w.end, [rtp, link_id]() {
         rtp->topology.net().link(link_id).set_up(true);
         rtp->reroute();
       });
@@ -552,13 +541,12 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
     for (const auto& w : fi->icmp_windows()[k]) {
       auto saved = std::make_shared<double>(0.0);
       const double rate = f.rate_per_sec;
-      push(w.begin, "chaos: " + h.name + " ICMP rate limit tightened",
-           [rtp, router, saved, rate]() {
-             auto& r = static_cast<sim::Router&>(rtp->topology.net().node(router));
-             *saved = r.config().icmp_rate_limit_per_sec;
-             r.mutable_config().icmp_rate_limit_per_sec = rate;
-           });
-      push(w.end, "chaos: " + h.name + " ICMP rate limit restored", [rtp, router, saved]() {
+      push(w.begin, [rtp, router, saved, rate]() {
+        auto& r = static_cast<sim::Router&>(rtp->topology.net().node(router));
+        *saved = r.config().icmp_rate_limit_per_sec;
+        r.mutable_config().icmp_rate_limit_per_sec = rate;
+      });
+      push(w.end, [rtp, router, saved]() {
         auto& r = static_cast<sim::Router&>(rtp->topology.net().node(router));
         r.mutable_config().icmp_rate_limit_per_sec = *saved;
       });
@@ -572,12 +560,12 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
     const sim::NodeId router = h.routers.front();
     for (const auto& w : fi->silent_windows()[k]) {
       auto saved = std::make_shared<bool>(false);
-      push(w.begin, "chaos: " + h.name + " goes ICMP-silent", [rtp, router, saved]() {
+      push(w.begin, [rtp, router, saved]() {
         auto& r = static_cast<sim::Router&>(rtp->topology.net().node(router));
         *saved = r.config().icmp_disabled;
         r.mutable_config().icmp_disabled = true;
       });
-      push(w.end, "chaos: " + h.name + " answers ICMP again", [rtp, router, saved]() {
+      push(w.end, [rtp, router, saved]() {
         auto& r = static_cast<sim::Router&>(rtp->topology.net().node(router));
         r.mutable_config().icmp_disabled = *saved;
       });
@@ -603,14 +591,11 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
     if (port.ifindex < 0 || far_ip.value() == 0 || detour_ip.value() == 0) continue;
     const net::Ipv4Prefix host_route(far_ip, 32);
     for (const auto& w : fi->reroute_windows()[k]) {
-      push(w.begin, "chaos: detour route toward " + target.name,
-           [rtp, host_route, port, detour_ip]() {
-             auto& r =
-                 static_cast<sim::Router&>(rtp->topology.net().node(rtp->vp_router));
-             r.add_route(host_route, {port.ifindex, detour_ip});
-           });
-      push(w.end, "chaos: detour route withdrawn (" + target.name + ")",
-           [rtp]() { rtp->reroute(); });
+      push(w.begin, [rtp, host_route, port, detour_ip]() {
+        auto& r = static_cast<sim::Router&>(rtp->topology.net().node(rtp->vp_router));
+        r.add_route(host_route, {port.ifindex, detour_ip});
+      });
+      push(w.end, [rtp]() { rtp->reroute(); });
     }
   }
 
@@ -640,20 +625,14 @@ std::shared_ptr<sim::FaultInjector> attach_fault_plan(ScenarioRuntime& rt, const
     }
     if (fac_links.empty()) continue;
     for (const auto& w : fi->facility_windows()[k]) {
-      push(w.begin, "chaos: facility " + fac + " outage (all links down)",
-           [rtp, fac_links]() {
-             for (const int link_id : fac_links) {
-               rtp->topology.net().link(link_id).set_up(false);
-             }
-             rtp->reroute();
-           });
-      push(w.end, "chaos: facility " + fac + " restored",
-           [rtp, fac_links]() {
-             for (const int link_id : fac_links) {
-               rtp->topology.net().link(link_id).set_up(true);
-             }
-             rtp->reroute();
-           });
+      push(w.begin, [rtp, fac_links]() {
+        for (const int link_id : fac_links) rtp->topology.net().link(link_id).set_up(false);
+        rtp->reroute();
+      });
+      push(w.end, [rtp, fac_links]() {
+        for (const int link_id : fac_links) rtp->topology.net().link(link_id).set_up(true);
+        rtp->reroute();
+      });
     }
   }
 

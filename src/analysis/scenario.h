@@ -160,9 +160,8 @@ struct VpSpec {
 /// A scheduled mutation of the world.
 struct TimelineEvent {
   TimePoint at;
-  std::string what;              ///< for narration
   std::function<void()> apply;
-  bool membership = false;       ///< changes who is connected (re-run bdrmap)
+  bool membership = false;  ///< changes who is connected (re-run bdrmap)
 };
 
 /// Simulator handles for one built neighbor, kept so post-build passes

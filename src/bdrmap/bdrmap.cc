@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "util/log.h"
 
 namespace ixp::bdrmap {
 

@@ -19,6 +19,19 @@
 namespace ixp::net {
 namespace {
 
+// Hard ceilings on one request.  They fit the serving API (short GET
+// targets, no bodies) with room to spare; every violation maps to a
+// specific 4xx so clients can tell what they did wrong.
+constexpr std::size_t kMaxHeadBytes = 8192;    ///< request line + headers, incl. CRLFs
+constexpr std::size_t kMaxHeaders = 64;
+constexpr std::size_t kMaxTargetBytes = 2048;  ///< request-target (path + query)
+constexpr std::size_t kMaxBodyBytes = 65536;   ///< Content-Length ceiling
+
+constexpr int kListenBacklog = 128;
+/// Keep-alive requests served per connection before forcing a close
+/// (bounds per-connection state lifetime).
+constexpr int kMaxRequestsPerConnection = 100000;
+
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -49,6 +62,19 @@ HttpParse bad(int code, std::string why, int* status, std::string* error) {
   return HttpParse::kBad;
 }
 
+// Writes all of `bytes`, retrying on EINTR.  False once a send fails or
+// makes no progress; MSG_NOSIGNAL keeps a vanished peer from raising
+// SIGPIPE.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 }  // namespace
 
 const std::string* HttpRequest::header(std::string_view name) const {
@@ -75,11 +101,11 @@ std::string HttpRequest::query_param(std::string_view key, std::string_view fall
 }
 
 HttpParse parse_http_request(std::string_view in, HttpRequest* req, std::size_t* consumed,
-                             int* status, std::string* error, const HttpLimits& limits) {
+                             int* status, std::string* error) {
   // ---- Locate the end of the head (CRLFCRLF) within the head budget -----
-  const std::size_t head_end = in.substr(0, limits.max_head_bytes).find("\r\n\r\n");
+  const std::size_t head_end = in.substr(0, kMaxHeadBytes).find("\r\n\r\n");
   if (head_end == std::string_view::npos) {
-    if (in.size() >= limits.max_head_bytes) {
+    if (in.size() >= kMaxHeadBytes) {
       return bad(431, "request head exceeds the size limit", status, error);
     }
     // An early NUL can never become a valid request; reject instead of
@@ -108,7 +134,7 @@ HttpParse parse_http_request(std::string_view in, HttpRequest* req, std::size_t*
   for (const char c : method) {
     if (!is_token_char(c)) return bad(400, "malformed method", status, error);
   }
-  if (target.size() > limits.max_target_bytes) {
+  if (target.size() > kMaxTargetBytes) {
     return bad(414, "request target too long", status, error);
   }
   if (target.empty() || target[0] != '/') {
@@ -142,7 +168,7 @@ HttpParse parse_http_request(std::string_view in, HttpRequest* req, std::size_t*
     const std::string_view hline = rest.substr(0, eol);
     rest = eol == std::string_view::npos ? std::string_view{} : rest.substr(eol + 2);
     if (hline.empty()) return bad(400, "empty header line", status, error);
-    if (out.headers.size() >= limits.max_headers) {
+    if (out.headers.size() >= kMaxHeaders) {
       return bad(431, "too many header fields", status, error);
     }
     const std::size_t colon = hline.find(':');
@@ -189,7 +215,7 @@ HttpParse parse_http_request(std::string_view in, HttpRequest* req, std::size_t*
     if (saw_content_length && n != body_len) {
       return bad(400, "conflicting Content-Length fields", status, error);
     }
-    if (n > limits.max_body_bytes) {
+    if (n > kMaxBodyBytes) {
       return bad(413, "request body exceeds the size limit", status, error);
     }
     body_len = static_cast<std::size_t>(n);
@@ -263,7 +289,7 @@ bool HttpServer::start(std::string* error) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(opt_.port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, opt_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     if (error != nullptr) *error = strformat("bind/listen: %s", std::strerror(errno));
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -339,20 +365,7 @@ void HttpServer::serve_connection(int fd) {
   // The parser promises kNeedMore only while within limits, but cap the
   // buffer anyway: belt and braces against a parser bug becoming a
   // memory-growth bug.
-  const std::size_t hard_cap = opt_.limits.max_head_bytes + opt_.limits.max_body_bytes + 1024;
-
-  auto send_all = [&](std::string_view bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  };
+  constexpr std::size_t kHardCap = kMaxHeadBytes + kMaxBodyBytes + 1024;
 
   while (true) {
     // Drain any complete request already buffered before reading more.
@@ -360,15 +373,14 @@ void HttpServer::serve_connection(int fd) {
     std::size_t consumed = 0;
     int bad_status = 400;
     std::string perr;
-    const HttpParse st =
-        parse_http_request(buf, &req, &consumed, &bad_status, &perr, opt_.limits);
+    const HttpParse st = parse_http_request(buf, &req, &consumed, &bad_status, &perr);
     if (st == HttpParse::kBad) {
       bad_requests_.fetch_add(1, std::memory_order_relaxed);
       HttpResponse resp;
       resp.status = bad_status;
       resp.content_type = "text/plain";
       resp.body = perr + "\n";
-      send_all(render_http_response(resp, /*keep_alive=*/false));
+      send_all(fd, render_http_response(resp, /*keep_alive=*/false));
       return;  // framing is unrecoverable; close
     }
     if (st == HttpParse::kOk) {
@@ -384,9 +396,9 @@ void HttpServer::serve_connection(int fd) {
       ++served;
       const bool drain = stopping_.load(std::memory_order_acquire);
       const bool keep = req.keep_alive && !resp.close && !drain &&
-                        served < opt_.max_requests_per_connection;
+                        served < kMaxRequestsPerConnection;
       requests_.fetch_add(1, std::memory_order_relaxed);
-      if (!send_all(render_http_response(resp, keep))) return;
+      if (!send_all(fd, render_http_response(resp, keep))) return;
       if (!keep) return;
       since = std::chrono::steady_clock::now();
       continue;
@@ -394,7 +406,7 @@ void HttpServer::serve_connection(int fd) {
 
     // kNeedMore: block (briefly) for more bytes, unless the partial request
     // is already past its deadline.
-    if (buf.size() >= hard_cap) return;
+    if (buf.size() >= kHardCap) return;
     if (!buf.empty() && std::chrono::steady_clock::now() - since > timeout) return;
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
@@ -448,16 +460,9 @@ bool HttpClient::connect(int port) {
 
 bool HttpClient::get(const std::string& target, int* status, std::string* body) {
   if (fd_ < 0) return false;
-  const std::string req = "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  std::size_t off = 0;
-  while (off < req.size()) {
-    const ssize_t n = ::send(fd_, req.data() + off, req.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close();
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
+  if (!send_all(fd_, "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n")) {
+    close();
+    return false;
   }
 
   std::string buf;
@@ -505,15 +510,9 @@ bool HttpClient::get(const std::string& target, int* status, std::string* body) 
 bool HttpClient::raw_roundtrip(std::string_view bytes, std::string* response,
                                std::size_t max_bytes) {
   if (fd_ < 0) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // server may already have rejected and closed; still read
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  // A failed send is not the end: the server may already have rejected the
+  // bytes and closed, and its answer is still there to read.
+  (void)send_all(fd_, bytes);
   // Signal end-of-request so the server never waits on us.
   ::shutdown(fd_, SHUT_WR);
   std::string buf;

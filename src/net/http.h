@@ -5,10 +5,10 @@
 // The parser is an incremental pure function over a byte buffer: feed it
 // whatever has arrived so far and it answers kOk (one complete request,
 // with how many bytes it consumed), kNeedMore (keep reading), or kBad
-// (answer with the indicated 4xx and close).  Every limit is explicit and
-// enforced *before* buffering more input, so a hostile peer can never make
-// the server hold more than `max_head_bytes + max_body_bytes` per
-// connection: oversized heads are rejected with 431, oversized or
+// (answer with the indicated 4xx and close).  Every limit is a named
+// constant in http.cc, enforced *before* buffering more input, so a hostile
+// peer can never make the server hold more than 8 KiB of head plus 64 KiB
+// of body per connection: oversized heads are rejected with 431, oversized or
 // non-numeric Content-Length with 413/400, and Transfer-Encoding (chunked
 // framing) with 400 outright -- the serving API never needs request
 // bodies, so the simplest rejection is also the safest.  The fuzz sweep in
@@ -36,16 +36,6 @@
 #include <vector>
 
 namespace ixp::net {
-
-/// Hard ceilings on one request.  Defaults fit the serving API (short GET
-/// targets, no bodies) with room to spare; every limit violation maps to a
-/// specific 4xx so clients can tell what they did wrong.
-struct HttpLimits {
-  std::size_t max_head_bytes = 8192;   ///< request line + headers, incl. CRLFs
-  std::size_t max_headers = 64;
-  std::size_t max_target_bytes = 2048; ///< request-target (path + query)
-  std::size_t max_body_bytes = 65536;  ///< Content-Length ceiling
-};
 
 /// One parsed request.  `target` is the raw request-target; `path` and
 /// `query` are the two sides of its first '?' (query empty when absent).
@@ -81,8 +71,7 @@ enum class HttpParse {
 /// and `*error` with a one-line reason.  kNeedMore promises that no limit
 /// has been exceeded yet, so callers can keep buffering safely.
 HttpParse parse_http_request(std::string_view in, HttpRequest* req,
-                             std::size_t* consumed, int* status, std::string* error,
-                             const HttpLimits& limits = {});
+                             std::size_t* consumed, int* status, std::string* error);
 
 struct HttpResponse {
   int status = 200;
@@ -106,8 +95,6 @@ class HttpServer {
   struct Options {
     std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port()
     int threads = 2;         ///< accept/serve workers
-    HttpLimits limits;
-    int listen_backlog = 128;
     /// Read timeout granularity: how often a worker parked on an idle
     /// connection re-checks the stop flag.
     int poll_interval_ms = 200;
@@ -116,9 +103,6 @@ class HttpServer {
     /// a partial request, timed from its first byte, and a response send
     /// that makes no progress because the client stopped reading.
     int idle_timeout_ms = 5000;
-    /// Keep-alive requests served per connection before forcing a close
-    /// (bounds per-connection state lifetime).
-    int max_requests_per_connection = 100000;
   };
 
   HttpServer(Handler handler, Options opt);

@@ -46,10 +46,6 @@ struct Packet {
   std::uint16_t quoted_seq = 0;
 
   [[nodiscard]] bool is_probe() const { return icmp_type == IcmpType::kEchoRequest; }
-  [[nodiscard]] bool is_reply() const {
-    return icmp_type == IcmpType::kEchoReply || icmp_type == IcmpType::kTimeExceeded ||
-           icmp_type == IcmpType::kDestUnreachable;
-  }
 };
 
 }  // namespace ixp::net

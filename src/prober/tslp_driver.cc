@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "sim/faults.h"
-#include "util/log.h"
 
 namespace ixp::prober {
 namespace {

@@ -9,8 +9,6 @@ namespace {
 
 constexpr char kMagic[4] = {'W', 'L', 'T', '1'};
 constexpr std::uint8_t kTypeLink = 1;
-constexpr std::uint8_t kTypeLoss = 2;
-constexpr std::uint8_t kTypeTrace = 3;
 
 // ---- little-endian primitive encoding into a byte buffer -------------------
 
@@ -117,29 +115,6 @@ bool write_warts_lite(std::ostream& out, const WartsLiteFile& file) {
     put_series(p, l.far_rtt);
     append_record(buf, kTypeLink, p);
   }
-  for (const auto& l : file.losses) {
-    std::string p;
-    put_u32(p, l.target.value());
-    put_u32(p, static_cast<std::uint32_t>(l.batches.size()));
-    for (const auto& b : l.batches) {
-      put_i64(p, b.at.ns());
-      put_u32(p, static_cast<std::uint32_t>(b.sent));
-      put_u32(p, static_cast<std::uint32_t>(b.lost));
-    }
-    append_record(buf, kTypeLoss, p);
-  }
-  for (const auto& t : file.traces) {
-    std::string p;
-    put_u32(p, t.dst.value());
-    put_i64(p, t.at.ns());
-    put_u16(p, static_cast<std::uint16_t>(t.hops.size()));
-    for (const auto& h : t.hops) {
-      p.push_back(static_cast<char>(h.ttl));
-      put_u32(p, h.addr.value());
-      put_i64(p, h.rtt.count());
-    }
-    append_record(buf, kTypeTrace, p);
-  }
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   return static_cast<bool>(out);
 }
@@ -173,38 +148,9 @@ std::optional<WartsLiteFile> read_warts_lite(std::istream& in) {
       rec.p += 1;
       if (!get_series(rec, l.near_rtt) || !get_series(rec, l.far_rtt)) return std::nullopt;
       file.links.push_back(std::move(l));
-    } else if (type == kTypeLoss) {
-      tslp::LossSeries l;
-      l.target = net::Ipv4Address(rec.u32());
-      const std::uint32_t n = rec.u32();
-      for (std::uint32_t i = 0; i < n && rec.ok; ++i) {
-        tslp::LossBatch b;
-        b.at = TimePoint(Duration(rec.i64()));
-        b.sent = static_cast<int>(rec.u32());
-        b.lost = static_cast<int>(rec.u32());
-        l.batches.push_back(b);
-      }
-      if (!rec.ok) return std::nullopt;
-      file.losses.push_back(std::move(l));
-    } else if (type == kTypeTrace) {
-      TraceRecord t;
-      t.dst = net::Ipv4Address(rec.u32());
-      t.at = TimePoint(Duration(rec.i64()));
-      const std::uint16_t n = rec.u16();
-      for (std::uint16_t i = 0; i < n && rec.ok; ++i) {
-        if (!rec.need(1)) return std::nullopt;
-        TraceHop h;
-        h.ttl = static_cast<int>(static_cast<unsigned char>(*rec.p));
-        rec.p += 1;
-        h.addr = net::Ipv4Address(rec.u32());
-        h.rtt = Duration(rec.i64());
-        t.hops.push_back(h);
-      }
-      if (!rec.ok) return std::nullopt;
-      file.traces.push_back(std::move(t));
-    } else {
-      // Unknown record type: skip (forward compatibility).
     }
+    // Any other record type is skipped: loss and traceroute records in
+    // older captures, and types a later writer may add.
   }
   if (!c.ok) return std::nullopt;
   return file;

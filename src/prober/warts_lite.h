@@ -7,11 +7,12 @@
 //
 //   file   := magic("WLT1") u16 version  record*
 //   record := u8 type  u32 payload_len  payload
-//   types  := 1 link-RTT series, 2 loss series, 3 traceroute
+//   types  := 1 link-RTT series
 //
 // All integers are little-endian; doubles are IEEE-754 bit patterns (NaN
 // encodes a lost probe).  Readers reject bad magic, unknown versions, and
-// truncated records.
+// truncated records, and skip records of any other type (older captures
+// also hold type 2 loss and type 3 traceroute records).
 #pragma once
 
 #include <cstdint>
@@ -20,26 +21,15 @@
 #include <ostream>
 #include <vector>
 
-#include "prober/prober.h"
 #include "tslp/series.h"
 
 namespace ixp::prober {
 
 inline constexpr std::uint16_t kWartsLiteVersion = 1;
 
-/// A stored traceroute (scamper's trace object, reduced to what the
-/// border-mapping pipeline consumes).
-struct TraceRecord {
-  net::Ipv4Address dst;
-  TimePoint at;
-  std::vector<TraceHop> hops;
-};
-
-/// Everything one campaign run produces.
+/// What one campaign run persists: its per-link RTT series.
 struct WartsLiteFile {
   std::vector<tslp::LinkSeries> links;
-  std::vector<tslp::LossSeries> losses;
-  std::vector<TraceRecord> traces;
 };
 
 /// Serializes to a stream.  Returns false on stream failure.

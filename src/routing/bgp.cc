@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/log.h"
 
 namespace ixp::routing {
 namespace {

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "util/log.h"
 
 namespace ixp::sim {
 

@@ -52,18 +52,6 @@ double PiecewiseProfile::max_bps() const {
   return bound;
 }
 
-double SumProfile::bps(TimePoint t) const {
-  double total = 0.0;
-  for (const auto& p : parts_) total += p->bps(t);
-  return total;
-}
-
-double SumProfile::max_bps() const {
-  double total = 0.0;
-  for (const auto& p : parts_) total += p->max_bps();
-  return total;
-}
-
 JitteredProfile::JitteredProfile(TrafficProfilePtr base, double relative_amplitude, std::uint64_t phase_seed)
     : base_(std::move(base)), amplitude_(relative_amplitude) {
   // Derive three deterministic phases from the seed.

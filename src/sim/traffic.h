@@ -98,17 +98,6 @@ class PiecewiseProfile final : public TrafficProfile {
   TrafficProfilePtr tail_;
 };
 
-/// Sum of component profiles (e.g., steady transit + bursty cache-fill).
-class SumProfile final : public TrafficProfile {
- public:
-  explicit SumProfile(std::vector<TrafficProfilePtr> parts) : parts_(std::move(parts)) {}
-  [[nodiscard]] double bps(TimePoint t) const override;
-  [[nodiscard]] double max_bps() const override;
-
- private:
-  std::vector<TrafficProfilePtr> parts_;
-};
-
 /// Deterministic pseudo-noise on top of another profile: a sum of
 /// incommensurate sinusoids, so the load wiggles realistically while
 /// remaining a pure function of time.

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace ixp::topo {

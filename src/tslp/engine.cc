@@ -69,7 +69,7 @@ bool prepare_series(const SeriesView& series, DetectScratch& scratch, LevelShift
   IXP_CHECK(series.index_of(series.time_of(v.size() - 1)) == v.size() - 1,
             "SeriesView index/time round-trip is broken");
 
-  scratch.index.build(v, kGapMinRun);
+  scratch.index.build(v);
   out.coverage =
       static_cast<double>(scratch.index.not_nan(0, v.size())) / static_cast<double>(v.size());
   out.gaps = scratch.index.gaps();

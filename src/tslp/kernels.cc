@@ -2,9 +2,11 @@
 
 #include <cmath>
 
+#include "tslp/level_shift.h"
+
 namespace ixp::tslp {
 
-void FiniteIndex::build(std::span<const double> v, std::size_t gap_min_run) {
+void FiniteIndex::build(std::span<const double> v) {
   prefix_.assign(v.size() + 1, 0);
   gaps_.clear();
   std::uint64_t count = 0;
@@ -20,12 +22,12 @@ void FiniteIndex::build(std::span<const double> v, std::size_t gap_min_run) {
       ++count;
       if (in_run) {
         in_run = false;
-        if (i - run_begin >= gap_min_run) gaps_.push_back({run_begin, i});
+        if (i - run_begin >= kGapMinRun) gaps_.push_back({run_begin, i});
       }
     }
     prefix_[i + 1] = count;
   }
-  if (in_run && v.size() - run_begin >= gap_min_run) gaps_.push_back({run_begin, v.size()});
+  if (in_run && v.size() - run_begin >= kGapMinRun) gaps_.push_back({run_begin, v.size()});
 }
 
 }  // namespace ixp::tslp

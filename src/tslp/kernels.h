@@ -20,9 +20,9 @@ namespace ixp::tslp {
 class FiniteIndex {
  public:
   /// One pass over `v`: prefix counts of not-NaN samples plus all maximal
-  /// NaN runs of at least `gap_min_run` samples (identical to
-  /// find_gaps(series, gap_min_run), trailing run included).
-  void build(std::span<const double> v, std::size_t gap_min_run);
+  /// NaN runs of at least kGapMinRun samples (identical to
+  /// find_gaps(series, kGapMinRun), trailing run included).
+  void build(std::span<const double> v);
 
   /// Number of not-NaN samples in [begin, end).
   [[nodiscard]] std::size_t not_nan(std::size_t begin, std::size_t end) const {

@@ -1,96 +1,43 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
+
 namespace ixp {
-
-ThreadPool::ThreadPool(int threads) {
-  const int extra = threads > 1 ? threads - 1 : 0;
-  workers_.reserve(static_cast<std::size_t>(extra));
-  for (int i = 0; i < extra; ++i) workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  batch_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::run_batch_tasks(std::size_t n) {
-  // Claims indices until the batch cursor runs past the end.  Runs on both
-  // the background workers and the thread inside parallel_for().
-  for (;;) {
-    const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) break;
-    std::exception_ptr err;
-    try {
-      (*task_)(i);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (err) errors_[i] = err;
-    if (++done_ == n) batch_done_.notify_all();
-  }
-}
-
-void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    batch_ready_.wait(lk, [&] { return stop_ || batch_id_ != seen; });
-    if (stop_) return;
-    seen = batch_id_;
-    // A worker that wakes after the batch already drained (task_ cleared
-    // under this lock) must not join: the next batch may have reset the
-    // cursor, and claiming against the stale size would hand out
-    // out-of-range indices.
-    if (task_ == nullptr) continue;
-    ++workers_in_batch_;
-    const std::size_t n = batch_n_;
-    lk.unlock();
-    run_batch_tasks(n);
-    lk.lock();
-    if (--workers_in_batch_ == 0) batch_done_.notify_all();
-  }
-}
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& task) {
   if (n == 0) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  task_ = &task;
-  batch_n_ = n;
-  done_ = 0;
-  cursor_.store(0, std::memory_order_relaxed);
-  errors_.assign(n, nullptr);
-  ++batch_id_;
-  lk.unlock();
-  batch_ready_.notify_all();
-
-  run_batch_tasks(n);
-
-  // Wait for (a) every task to finish and (b) every worker that woke for
-  // this batch to check back out.  (b) matters: without it a worker could
-  // still be between reading the batch state and its first (empty) cursor
-  // claim when the *next* batch resets the cursor, and would claim stale
-  // work.  Workers that never woke observe the next batch_id_ instead and
-  // are harmless.
-  lk.lock();
-  batch_done_.wait(lk, [&] { return done_ == n && workers_in_batch_ == 0; });
-  task_ = nullptr;
-
-  std::exception_ptr first;
-  for (auto& e : errors_) {
-    if (e) {
-      first = e;
-      break;
+  std::atomic<std::size_t> cursor{0};
+  std::vector<std::exception_ptr> errors(n);
+  // Claims indices until the cursor runs past the end.  Runs on every
+  // forked thread and on the caller.
+  auto drain = [&] {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
+  };
+
+  {
+    // jthread joins on destruction, so the batch is joined at the end of
+    // this scope even if starting a later thread throws.
+    const std::size_t forks = std::min(static_cast<std::size_t>(size_), n) - 1;
+    std::vector<std::jthread> threads;
+    threads.reserve(forks);
+    for (std::size_t t = 0; t < forks; ++t) threads.emplace_back(drain);
+    drain();
   }
-  errors_.clear();
-  if (first) {
-    lk.unlock();
-    std::rethrow_exception(first);
+
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 

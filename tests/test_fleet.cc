@@ -69,8 +69,8 @@ TEST(ThreadPool, DrainsUnderExceptionsAndStaysUsable) {
 }
 
 TEST(ThreadPool, BackToBackBatchesOfChangingSize) {
-  // Stresses the stale-worker guard: rapid small batches of shrinking and
-  // growing sizes must never claim an out-of-range index.
+  // Rapid small batches of shrinking and growing sizes must never claim an
+  // out-of-range index or carry a claim from one batch into the next.
   ThreadPool pool(4);
   for (int iter = 0; iter < 500; ++iter) {
     const std::size_t n = static_cast<std::size_t>(iter * 13 % 7);

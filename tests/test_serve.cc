@@ -60,14 +60,14 @@ constexpr int kChaosDays = 0;  // full calendar
 // ---------------------------------------------------------------------------
 
 HttpParse parse(std::string_view in, HttpRequest* req = nullptr, int* status = nullptr,
-                std::size_t* consumed = nullptr, const HttpLimits& limits = {}) {
+                std::size_t* consumed = nullptr) {
   HttpRequest local_req;
   int local_status = 0;
   std::size_t local_consumed = 0;
   std::string error;
   return parse_http_request(in, req != nullptr ? req : &local_req,
                             consumed != nullptr ? consumed : &local_consumed,
-                            status != nullptr ? status : &local_status, &error, limits);
+                            status != nullptr ? status : &local_status, &error);
 }
 
 TEST(HttpParser, ParsesSimpleGet) {

@@ -179,13 +179,6 @@ TEST(Traffic, PiecewiseSwitchesAtBoundaries) {
   EXPECT_DOUBLE_EQ(p.bps(TimePoint(kDay * 20)), 2e6);
 }
 
-TEST(Traffic, SumAddsComponents) {
-  auto a = std::make_shared<ConstantProfile>(1e6);
-  auto b = std::make_shared<ConstantProfile>(2e6);
-  SumProfile p({a, b});
-  EXPECT_DOUBLE_EQ(p.bps(TimePoint{}), 3e6);
-}
-
 TEST(Traffic, JitterBoundedAndDeterministic) {
   auto base = std::make_shared<ConstantProfile>(100e6);
   JitteredProfile p(base, 0.1, 42);
@@ -210,9 +203,6 @@ TEST(Traffic, MaxBpsBoundsObservedLoad) {
 
   auto jitter = std::make_shared<JitteredProfile>(diurnal, 0.1, 7);
   EXPECT_DOUBLE_EQ(jitter->max_bps(), 1.2 * 100e6 * 1.1);
-
-  SumProfile sum({diurnal, std::make_shared<ConstantProfile>(5e6)});
-  EXPECT_DOUBLE_EQ(sum.max_bps(), 1.2 * 100e6 + 5e6);
 
   std::vector<PiecewiseProfile::Piece> pieces;
   pieces.push_back({TimePoint(kDay), std::make_shared<ConstantProfile>(30e6)});
@@ -339,6 +329,16 @@ TEST(FluidQueue, ProbeBytesDrainWithoutIntegrating) {
   EXPECT_EQ(q.stats().integration_steps, before.integration_steps);
 }
 
+// Sum of two profiles: a composite shape for the fuzz below, which holds
+// FluidQueue to its contract for any TrafficProfile, not just the built-in
+// ones.
+struct SumOfTwo final : TrafficProfile {
+  SumOfTwo(TrafficProfilePtr a, TrafficProfilePtr b) : a(std::move(a)), b(std::move(b)) {}
+  [[nodiscard]] double bps(TimePoint t) const override { return a->bps(t) + b->bps(t); }
+  [[nodiscard]] double max_bps() const override { return a->max_bps() + b->max_bps(); }
+  TrafficProfilePtr a, b;
+};
+
 // Random profile whose max_bps() stays within `budget` bps.
 TrafficProfilePtr random_bounded_profile(Rng& rng, double budget, int depth = 0) {
   switch (rng.uniform_int(0, depth < 2 ? 4 : 2)) {
@@ -373,9 +373,10 @@ TrafficProfilePtr random_bounded_profile(Rng& rng, double budget, int depth = 0)
     }
     default: {
       const double split = rng.uniform(0.1, 0.9);
-      return std::make_shared<SumProfile>(std::vector<TrafficProfilePtr>{
-          random_bounded_profile(rng, budget * split, depth + 1),
-          random_bounded_profile(rng, budget * (1.0 - split), depth + 1)});
+      // Sequenced: the two draws must happen in this order.
+      TrafficProfilePtr first = random_bounded_profile(rng, budget * split, depth + 1);
+      TrafficProfilePtr second = random_bounded_profile(rng, budget * (1.0 - split), depth + 1);
+      return std::make_shared<SumOfTwo>(std::move(first), std::move(second));
     }
   }
 }

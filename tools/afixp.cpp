@@ -58,6 +58,18 @@ std::optional<Duration> round_interval_flag(const Flags& flags) {
       static_cast<double>(flags.get_int("round-minutes")), "--round-minutes", std::cerr);
 }
 
+/// Help text for `--jobs`, stating its range.
+std::string jobs_help() {
+  return strformat("campaigns to run in parallel (0 = hardware concurrency, else 1..%d)",
+                   analysis::kMaxThreadsFlag);
+}
+
+/// `--jobs`, range-checked before any thread starts.
+std::optional<int> jobs_flag(const Flags& flags) {
+  return analysis::thread_count_from_flag(flags.get_int("jobs"), /*zero_is_auto=*/true, "--jobs",
+                                          std::cerr);
+}
+
 /// Exports `reg` to `path` if non-empty; reports failures on stderr.
 int export_metrics(const std::string& path, const obs::Registry& reg) {
   if (path.empty()) return 0;
@@ -178,7 +190,7 @@ int cmd_tables(int argc, const char* const* argv) {
   Flags flags("afixp tables", "regenerate the paper's Table 1 and Table 2");
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
+  flags.add_int("jobs", 0, jobs_help());
   flags.add_string("report", "", "write the combined multi-VP Markdown report here");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (empty = off); "
@@ -193,6 +205,8 @@ int cmd_tables(int argc, const char* const* argv) {
   }
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
+  const auto jobs = jobs_flag(flags);
+  if (!jobs) return 2;
   const auto specs = analysis::make_all_vps();
 
   // All six campaigns fan out across the fleet; the live status line and
@@ -201,7 +215,7 @@ int cmd_tables(int argc, const char* const* argv) {
   analysis::FleetOptions fopt;
   fopt.campaign.round_interval = *interval;
   if (flags.get_bool("fast")) fopt.campaign.duration_override = kDay * 42;
-  fopt.jobs = static_cast<int>(flags.get_int("jobs"));
+  fopt.jobs = *jobs;
   analysis::FleetStatusPrinter status(std::cerr, specs);
   fopt.on_progress = [&status](const analysis::CampaignMetrics& m) { status(m); };
   auto fleet = analysis::run_fleet(specs, fopt);
@@ -264,7 +278,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
+  flags.add_int("jobs", 0, jobs_help());
   flags.add_bool("list-plans", false, "list the built-in fault plans and exit");
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (empty = off)");
@@ -288,6 +302,8 @@ int cmd_chaos(int argc, const char* const* argv) {
   }
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
+  const auto jobs = jobs_flag(flags);
+  if (!jobs) return 2;
   const std::string plan_name = flags.get_string("plan");
   const ScenarioPlan* plan = find_plan(plan_name);
   if (plan == nullptr) {
@@ -314,7 +330,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   } else if (flags.get_bool("fast")) {
     fopt.campaign.duration_override = kDay * 42;
   }
-  fopt.jobs = static_cast<int>(flags.get_int("jobs"));
+  fopt.jobs = *jobs;
   fopt.fault_plan = &plan->faults;
   fopt.fault_seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   analysis::FleetStatusPrinter status(std::cerr, specs);
@@ -407,11 +423,12 @@ int cmd_serve(int argc, const char* const* argv) {
                 "fault seed; pass 1 replays `afixp chaos --seed N` byte-identically");
   flags.add_int("rounds", 1, "fleet passes to run (0 = serve until SIGTERM/SIGINT)");
   flags.add_int("port", 0, "HTTP port on 127.0.0.1 (0 = kernel-assigned)");
-  flags.add_int("http-threads", 2, "HTTP worker threads");
+  flags.add_int("http-threads", 2,
+                strformat("HTTP worker threads (1..%d)", analysis::kMaxThreadsFlag));
   flags.add_bool("fast", false, "6-week campaigns instead of the full calendar");
   flags.add_int("days", 0, "campaign length in days (0 = full; overrides --fast)");
   flags.add_int("round-minutes", 30, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
+  flags.add_int("jobs", 0, jobs_help());
   flags.add_string("metrics-out", "",
                    "shutdown metrics flush path (empty = off)");
   if (!flags.parse(argc, argv)) {
@@ -431,7 +448,6 @@ int cmd_serve(int argc, const char* const* argv) {
   // into another port and --rounds -1 into "serve forever".
   const std::int64_t port = flags.get_int("port");
   const std::int64_t rounds = flags.get_int("rounds");
-  const std::int64_t http_threads = flags.get_int("http-threads");
   if (port < 0 || port > 65535) {
     std::cerr << "--port must be in 0..65535, got " << port << "\n";
     return 2;
@@ -440,10 +456,11 @@ int cmd_serve(int argc, const char* const* argv) {
     std::cerr << "--rounds must be at least 0, got " << rounds << "\n";
     return 2;
   }
-  if (http_threads < 1) {
-    std::cerr << "--http-threads must be at least 1, got " << http_threads << "\n";
-    return 2;
-  }
+  const auto http_threads = analysis::thread_count_from_flag(
+      flags.get_int("http-threads"), /*zero_is_auto=*/false, "--http-threads", std::cerr);
+  if (!http_threads) return 2;
+  const auto jobs = jobs_flag(flags);
+  if (!jobs) return 2;
 
   serve::ServeOptions sopt;
   const std::string plan_name = flags.get_string("fault-plan");
@@ -488,9 +505,9 @@ int cmd_serve(int argc, const char* const* argv) {
   } else if (flags.get_bool("fast")) {
     sopt.campaign.duration_override = kDay * 42;
   }
-  sopt.jobs = static_cast<int>(flags.get_int("jobs"));
+  sopt.jobs = *jobs;
   sopt.port = static_cast<int>(port);
-  sopt.http_threads = static_cast<int>(http_threads);
+  sopt.http_threads = *http_threads;
   sopt.log = &std::cerr;
 
   serve::ServeDaemon daemon(std::move(sopt));
@@ -528,7 +545,7 @@ int cmd_gen(int argc, const char* const* argv) {
   flags.add_int("seed", 0, "override the spec's seed (0 = keep)");
   flags.add_int("days", 0, "override the campaign length in days (0 = the spec's)");
   flags.add_int("round-minutes", 5, "TSLP probing cadence");
-  flags.add_int("jobs", 0, "campaigns to run in parallel (0 = hardware concurrency)");
+  flags.add_int("jobs", 0, jobs_help());
   flags.add_string("metrics-out", "",
                    "fleet metrics registry export path (empty = off)");
   if (!flags.parse(argc, argv)) {
@@ -541,6 +558,8 @@ int cmd_gen(int argc, const char* const* argv) {
   }
   const auto interval = round_interval_flag(flags);
   if (!interval) return 2;
+  const auto jobs = jobs_flag(flags);
+  if (!jobs) return 2;
   if (flags.get_bool("list-presets")) {
     for (const auto& name : topo::topo_spec_preset_names()) {
       const auto p = *topo::topo_spec_preset(name);
@@ -584,7 +603,7 @@ int cmd_gen(int argc, const char* const* argv) {
       human_bytes(static_cast<double>(summary.samples(kDay * spec->days, *interval)) * 8).c_str());
 
   analysis::FleetOptions fopt;
-  fopt.jobs = static_cast<int>(flags.get_int("jobs"));
+  fopt.jobs = *jobs;
   fopt.campaign.round_interval = *interval;
   fopt.campaign.columnar = true;
   if (flags.get_bool("shard-plan") && !flags.get_bool("run")) {

@@ -9,7 +9,9 @@
 # bad flag values are usage errors (exit 2) before any work starts, and
 # flags are the only run configuration (no environment defaults).  The
 # benches that take no flags still parse their argv: a stray argument is a
-# usage error and --help answers without running the bench.
+# usage error and --help answers without running the bench.  Finally, a
+# capture written by `afixp campaign --out` reads back through
+# `afixp analyze` with every monitored link.
 #
 # usage: check_cli.sh <afixp_binary> <bench_fig1_binary> <bench_table1_binary>
 #                     <bench_serve_binary> <bench_substrate_binary>
@@ -105,6 +107,43 @@ names_flag --rounds "serve --rounds -1"
 usage_error serve --http-threads 0
 names_flag --http-threads "serve --http-threads 0"
 
+# Thread counts are range-checked before they are narrowed to int and
+# before any thread starts: --jobs takes 0 (auto) or 1..256, the
+# per-thread flags 1..256.  2^32 + 2 used to narrow to 2 and a negative
+# --jobs silently meant "auto"; both exited 0.  Only values that start no
+# more threads than a default run are passed to commands that would run:
+# 257 goes to `gen --shard-plan`, which only prints a plan.
+for j in 4294967298 -3 257; do
+    usage_error gen --spec paper6 --shard-plan --jobs "$j"
+    names_flag --jobs "gen --shard-plan --jobs $j"
+done
+"$afixp" gen --spec paper6 --shard-plan --jobs 256 > /dev/null 2>&1 ||
+    err "'afixp gen --spec paper6 --shard-plan --jobs 256' (the ceiling) failed"
+for j in 4294967298 -3; do
+    usage_error serve --rounds 1 --days 1 --round-minutes 240 --jobs "$j"
+    names_flag --jobs "serve --jobs $j"
+    usage_error tables --fast --round-minutes 1440 --jobs "$j"
+    names_flag --jobs "tables --jobs $j"
+    usage_error chaos --fast --round-minutes 1440 --jobs "$j"
+    names_flag --jobs "chaos --jobs $j"
+done
+for t in 4294967298 -3; do
+    usage_error serve --rounds 1 --days 1 --round-minutes 240 --http-threads "$t"
+    names_flag --http-threads "serve --http-threads $t"
+done
+bench_usage_error() {  # <bench> <flag> <value>
+    out=$("$1" --smoke --out "" "$2" "$3" 2>&1 >/dev/null)
+    rc=$?
+    [ "$rc" -eq 2 ] || err "'$(basename "$1") $2 $3' exited $rc, expected 2"
+    echo "$out" | grep -q -- "$2" || err "'$(basename "$1") $2 $3' does not name the flag $2"
+}
+for v in 4294967298 -3; do
+    bench_usage_error "$bench_substrate" --jobs "$v"
+    bench_usage_error "$bench_serve" --jobs "$v"
+    bench_usage_error "$bench_serve" --http-threads "$v"
+    bench_usage_error "$bench_serve" --client-threads "$v"
+done
+
 # A day count is checked by name wherever it is taken: a negative one used
 # to run the full calendar, and 110000 days overflows the nanosecond clock
 # (and `gen` narrowed it to int); both exited 0.
@@ -154,6 +193,25 @@ echo "$t1_out" | grep -q "^bench_table1 -- " ||
     err "'bench_table1 --help' prints no help text"
 echo "$t1_out" | grep -q "fleet" &&
     err "'bench_table1 --help' started a fleet"
+
+# --- 8. A campaign capture reads back through `afixp analyze` -------------
+# `campaign --out` is the only writer of warts-lite captures and `analyze`
+# the only reader; both must agree on every monitored link.  A file that
+# is not a capture is an error (exit 1), not an empty capture.
+cap_out=$("$afixp" campaign --vp 6 --days 10 --round-minutes 240 --out "$tmp/cap.wlt" 2>&1)
+rc=$?
+[ "$rc" -eq 0 ] || err "'afixp campaign --vp 6 --days 10 --round-minutes 240 --out' exited $rc"
+links=$(echo "$cap_out" | sed -n 's/.*: \([0-9][0-9]*\) monitored links,.*/\1/p')
+[ -n "$links" ] || err "'afixp campaign' printed no monitored-link count"
+an_out=$("$afixp" analyze "$tmp/cap.wlt" 2>&1)
+rc=$?
+[ "$rc" -eq 0 ] || err "'afixp analyze' of a campaign capture exited $rc"
+echo "$an_out" | grep -qE "^[0-9]+ of $links links flagged$" ||
+    err "'afixp analyze' does not report the campaign's $links links: $(echo "$an_out" | tail -1)"
+printf 'not a capture\n' > "$tmp/bogus.wlt"
+"$afixp" analyze "$tmp/bogus.wlt" > /dev/null 2>&1
+rc=$?
+[ "$rc" -eq 1 ] || err "'afixp analyze' of a non-capture file exited $rc, expected 1"
 
 if [ "$errors" -gt 0 ]; then
     echo "check_cli: FAILED ($errors problem(s))" >&2
